@@ -1,16 +1,5 @@
 GO ?= go
 
-# Benchmarks recorded by bench-json; Table 1 system construction is the
-# allocation-tracked canary for hot-path regressions.
-BENCH_PATTERN ?= BenchmarkTable1BaselineSystemConstruction|BenchmarkEngineEventThroughput|BenchmarkSegmentThroughput|BenchmarkFig9TriangularPredictive
-BENCH_COUNT ?= 5
-BENCH_LABEL ?= current
-
-# bench-suite settings: full rmexperiments renders timed end to end.
-SUITE_COUNT ?= 5
-SUITE_LABEL ?= post-scheduler
-SUITE_FLAGS ?=
-
 # bench-record / bench-diff settings: the benchrunner harness (BENCH_3).
 BENCH_ITERS ?= 10
 BENCH_OUT ?= BENCH_3.json
@@ -18,7 +7,7 @@ BENCH_BASELINE ?= BENCH_3.json
 BENCH_THRESHOLD ?= 10
 BENCH_REPORT ?= bench-diff-report.txt
 
-.PHONY: build test race bench bench-json bench-suite bench-record bench-diff check golden vet fmt all
+.PHONY: build test race bench bench-record bench-diff check golden vet fmt all
 
 all: build test
 
@@ -33,36 +22,13 @@ test:
 # recorder state from handler goroutines, experiment sweeps fan
 # simulations across workers, and the resilience layer (journal, retry,
 # fault injector) is exercised concurrently by the server suites — keep
-# the hot paths, their locking, and the sweep cache honest under the
+# the hot paths, their locking, and the run memo honest under the
 # race detector.
 race:
 	$(GO) test -race ./internal/sim/... ./internal/telemetry/... ./internal/core/... ./internal/experiment/... ./internal/api/... ./internal/session/... ./internal/server/... ./internal/client/... ./internal/policy/... ./internal/resil/...
 
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' ./internal/telemetry/...
-
-# bench-json records the hot-path benchmarks into BENCH_1.json under
-# $(BENCH_LABEL), preserving other labels (e.g. the committed
-# pre-optimization baseline). Raw lines are kept benchstat-comparable:
-#   jq -r '.labels.baseline.lines[]' BENCH_1.json | benchstat /dev/stdin
-bench-json:
-	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem -count $(BENCH_COUNT) . \
-		| $(GO) run ./cmd/benchjson -label $(BENCH_LABEL) -out BENCH_1.json
-
-# bench-suite times $(SUITE_COUNT) full rmexperiments renders and records
-# the wall-clock into BENCH_2.json under $(SUITE_LABEL) (the committed
-# pre-scheduler label is the baseline). Pass SUITE_FLAGS='-cache-dir d'
-# to measure a warm-cache render.
-bench-suite:
-	@tmp=$$(mktemp -d); \
-	$(GO) build -o $$tmp/rmexperiments ./cmd/rmexperiments; \
-	for i in $$(seq 1 $(SUITE_COUNT)); do \
-		start=$$(date +%s%N); \
-		$$tmp/rmexperiments $(SUITE_FLAGS) >/dev/null || exit 1; \
-		end=$$(date +%s%N); \
-		echo "BenchmarkExperimentSuiteWallClock 1 $$((end-start)) ns/op"; \
-	done | $(GO) run ./cmd/benchjson -label $(SUITE_LABEL) -out BENCH_2.json; \
-	rm -rf $$tmp
 
 # bench-record re-measures the named benchrunner workloads (Table 1
 # canary, fig9-13 cold/warm, ext-chaos, rmserved round-trip, session

@@ -59,10 +59,10 @@ type workloadRecord struct {
 
 // snapshot is the BENCH_3.json document.
 type snapshot struct {
-	Schema     string           `json:"schema"`
-	Recorded   string           `json:"recorded"`
-	GoVersion  string           `json:"go"`
-	Iterations int              `json:"iterations"`
+	Schema     string `json:"schema"`
+	Recorded   string `json:"recorded"`
+	GoVersion  string `json:"go"`
+	Iterations int    `json:"iterations"`
 	// ParallelCapacity is the host's measured speedup on an embarrassingly
 	// parallel spin load at GOMAXPROCS=4 (serial wall / parallel wall).
 	// Containers often report NumCPU=1 while scheduling onto more cores,

@@ -215,7 +215,7 @@ func checkDeterminism(todo []experiment.Experiment, quick bool, parallel int) {
 	}
 }
 
-// fingerprint runs one experiment against a cold sweep cache and returns
+// fingerprint runs one experiment against a cold run memo and returns
 // its full rendered output plus every table's CSV.
 func fingerprint(e experiment.Experiment, ctx experiment.Context) (string, error) {
 	experiment.ResetSweepCache()

@@ -88,7 +88,7 @@ func TestSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := experiment.ScheduledRun(cfg, alg, setups)
+	out, err := experiment.ScheduledRun(context.Background(), cfg, alg, setups)
 	if err != nil {
 		t.Fatal(err)
 	}

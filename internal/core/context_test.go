@@ -17,7 +17,7 @@ func TestRunContextCancellation(t *testing.T) {
 	done := make(chan error, 1)
 	start := time.Now()
 	go func() {
-		_, err := RunContext(ctx, DefaultConfig(), Predictive, []TaskSetup{benchSetup(pattern)})
+		_, err := RunContext(ctx, DefaultConfig(), Predictive, []TaskSetup{benchSetup(pattern)}, nil)
 		done <- err
 	}()
 	time.Sleep(20 * time.Millisecond)
@@ -40,7 +40,7 @@ func TestRunContextCancellation(t *testing.T) {
 func TestRunContextPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := RunContext(ctx, DefaultConfig(), Predictive, []TaskSetup{benchSetup(workload.NewConstant(500, 5))})
+	_, err := RunContext(ctx, DefaultConfig(), Predictive, []TaskSetup{benchSetup(workload.NewConstant(500, 5))}, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("got %v, want context.Canceled", err)
 	}
@@ -57,7 +57,7 @@ func TestRunContextBackgroundMatchesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunContext(context.Background(), cfg, Predictive, []TaskSetup{benchSetup(pattern)})
+	b, err := RunContext(context.Background(), cfg, Predictive, []TaskSetup{benchSetup(pattern)}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestRunContextBackgroundMatchesRun(t *testing.T) {
 	// Step-loop drain path is observationally identical to eng.Run().
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	c, err := RunContext(ctx, cfg, Predictive, []TaskSetup{benchSetup(pattern)})
+	c, err := RunContext(ctx, cfg, Predictive, []TaskSetup{benchSetup(pattern)}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

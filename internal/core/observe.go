@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/metrics"
@@ -15,10 +14,10 @@ import (
 //
 // The hook is deliberately NOT a Config field. Config is what shapes a
 // run's result and therefore what the content-addressed fingerprint
-// hashes; an observer watches a run without shaping it, so it rides the
-// RunObservedContext entry point instead and can never split the run
-// cache or perturb a golden. Runs without an observer take code paths
-// byte-identical to the pre-observer build.
+// hashes; an observer watches a run without shaping it, so it is a
+// separate RunContext argument and can never split the run cache or
+// perturb a golden. A nil observer takes code paths byte-identical to
+// the pre-observer build.
 type Observer struct {
 	// Every is the sampling cadence in sim time; must be > 0. Samples
 	// fire from t=Every up to the workload pattern horizon, plus one
@@ -32,9 +31,6 @@ type Observer struct {
 }
 
 func (o *Observer) validate() error {
-	if o == nil {
-		return fmt.Errorf("core: nil observer")
-	}
 	if o.Every <= 0 {
 		return fmt.Errorf("core: observer cadence must be > 0 (got %v)", o.Every)
 	}
@@ -82,28 +78,6 @@ type TaskObservation struct {
 	Completed int
 	Missed    int
 	InFlight  int
-}
-
-// RunObserved is RunObservedContext with a background context.
-func RunObserved(cfg Config, alg Algorithm, setups []TaskSetup, obs *Observer) (Result, error) {
-	return RunObservedContext(context.Background(), cfg, alg, setups, obs)
-}
-
-// RunObservedContext runs one simulation with a live observation hook:
-// obs.OnSample fires every obs.Every sim-time units and once more after
-// the engine drains (Final set). Results are identical to RunContext
-// with the same inputs — sampling reads state, it never writes it.
-// Lane-partitioned runs (cfg.Lanes ≥ 2) are not observable: state is
-// sharded across engines mid-run, so there is no coherent instant to
-// sample.
-func RunObservedContext(ctx context.Context, cfg Config, alg Algorithm, setups []TaskSetup, obs *Observer) (Result, error) {
-	if err := obs.validate(); err != nil {
-		return Result{}, err
-	}
-	if cfg.Lanes >= 2 {
-		return Result{}, fmt.Errorf("core: observed runs do not support lane partitioning (Lanes=%d)", cfg.Lanes)
-	}
-	return runContext(ctx, cfg, alg, setups, obs)
 }
 
 // scheduleObservations pre-schedules every sample event up to the

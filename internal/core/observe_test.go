@@ -21,7 +21,7 @@ func TestObservedRunMatchesUnobserved(t *testing.T) {
 		t.Fatal(err)
 	}
 	var samples int
-	observed, err := RunObserved(cfg, Predictive, setups, &Observer{
+	observed, err := RunContext(context.Background(), cfg, Predictive, setups, &Observer{
 		Every:    100 * sim.Millisecond,
 		OnSample: func(Observation) { samples++ },
 	})
@@ -48,7 +48,7 @@ func TestObserverSampling(t *testing.T) {
 	setups := []TaskSetup{benchSetup(pattern)}
 	every := 500 * sim.Millisecond
 	var obs []Observation
-	res, err := RunObserved(cfg, Predictive, setups, &Observer{
+	res, err := RunContext(context.Background(), cfg, Predictive, setups, &Observer{
 		Every:    every,
 		OnSample: func(o Observation) { obs = append(obs, o) },
 	})
@@ -112,19 +112,18 @@ func TestObserverValidation(t *testing.T) {
 	cfg := DefaultConfig()
 	setups := []TaskSetup{benchSetup(workload.NewConstant(500, 2))}
 	cases := map[string]*Observer{
-		"nil":        nil,
 		"no-cadence": {OnSample: func(Observation) {}},
 		"no-hook":    {Every: sim.Second},
 	}
 	for name, o := range cases {
-		if _, err := RunObserved(cfg, Predictive, setups, o); err == nil {
+		if _, err := RunContext(context.Background(), cfg, Predictive, setups, o); err == nil {
 			t.Errorf("%s: want an error", name)
 		}
 	}
 	lanes := cfg
 	lanes.Lanes = 2
 	ok := &Observer{Every: sim.Second, OnSample: func(Observation) {}}
-	if _, err := RunObservedContext(context.Background(), lanes, Predictive, setups, ok); err == nil {
+	if _, err := RunContext(context.Background(), lanes, Predictive, setups, ok); err == nil {
 		t.Error("lane-partitioned observed run should be rejected")
 	}
 }

@@ -167,7 +167,7 @@ func (rt *runtimeTask) sampleUtil(s *system) {
 // Run simulates the task set under the given algorithm for the full
 // workload pattern of every task and returns the aggregated result.
 func Run(cfg Config, alg Algorithm, setups []TaskSetup) (Result, error) {
-	return RunContext(context.Background(), cfg, alg, setups)
+	return RunContext(context.Background(), cfg, alg, setups, nil)
 }
 
 // cancelCheckEvents is how many engine events execute between context
@@ -176,18 +176,28 @@ func Run(cfg Config, alg Algorithm, setups []TaskSetup) (Result, error) {
 // within microseconds of wall time.
 const cancelCheckEvents = 4096
 
-// RunContext is Run with cooperative cancellation: when ctx is done the
-// simulation stops between events and ctx.Err() is returned. A
-// background context takes the exact single-call engine drain Run always
-// used, so results are bit-identical to the pre-context build.
-func RunContext(ctx context.Context, cfg Config, alg Algorithm, setups []TaskSetup) (Result, error) {
-	return runContext(ctx, cfg, alg, setups, nil)
-}
-
-// runContext is the shared body of RunContext and RunObservedContext.
-// obs, when non-nil, has been validated by the caller; nil keeps every
-// code path byte-identical to the unobserved build.
-func runContext(ctx context.Context, cfg Config, alg Algorithm, setups []TaskSetup, obs *Observer) (Result, error) {
+// RunContext is Run with cooperative cancellation and an optional live
+// observation hook. When ctx is done the simulation stops between events
+// and ctx.Err() is returned; a background context takes the exact
+// single-call engine drain Run always used, so results are bit-identical
+// to the pre-context build.
+//
+// A nil obs means an unobserved run and keeps every code path
+// byte-identical to the pre-observer build. A non-nil obs.OnSample fires
+// every obs.Every sim-time units and once more after the engine drains
+// (Final set); results are identical to the unobserved run — sampling
+// reads state, it never writes it. Lane-partitioned runs (cfg.Lanes ≥ 2)
+// are not observable: state is sharded across engines mid-run, so there
+// is no coherent instant to sample.
+func RunContext(ctx context.Context, cfg Config, alg Algorithm, setups []TaskSetup, obs *Observer) (Result, error) {
+	if obs != nil {
+		if err := obs.validate(); err != nil {
+			return Result{}, err
+		}
+		if cfg.Lanes >= 2 {
+			return Result{}, fmt.Errorf("core: observed runs do not support lane partitioning (Lanes=%d)", cfg.Lanes)
+		}
+	}
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}

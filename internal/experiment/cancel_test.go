@@ -26,10 +26,10 @@ func longSetup(t *testing.T) core.TaskSetup {
 	return setup
 }
 
-// TestScheduledRunContextCancellation: a cell cancels only when every
+// TestScheduledRunCancellation: a cell cancels only when every
 // waiter abandons it, the cancellation is never memoized, and the next
 // identical request re-simulates cleanly.
-func TestScheduledRunContextCancellation(t *testing.T) {
+func TestScheduledRunCancellation(t *testing.T) {
 	setup := longSetup(t)
 	cfg := core.DefaultConfig()
 	cfg.Seed = 660001
@@ -44,7 +44,7 @@ func TestScheduledRunContextCancellation(t *testing.T) {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				_, errs[i] = ScheduledRunContext(ctx, cfg, core.Predictive, setups)
+				_, errs[i] = ScheduledRun(ctx, cfg, core.Predictive, setups)
 			}(i)
 		}
 		// Cancel only after both requests are registered with the
@@ -81,7 +81,7 @@ func TestScheduledRunContextCancellation(t *testing.T) {
 	}
 
 	d2 := statsDelta(func() {
-		if _, err := ScheduledRun(cfg, core.Predictive, setups); err != nil {
+		if _, err := ScheduledRun(context.Background(), cfg, core.Predictive, setups); err != nil {
 			t.Fatalf("re-requesting a cancelled cell: %v", err)
 		}
 	})

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"errors"
 	"io/fs"
 	"os"
@@ -92,7 +93,7 @@ func TestSchedulerDiskCacheWarmAndCorrupt(t *testing.T) {
 	points := []int{0, 4}
 	var cold []PointResult
 	coldStats := statsDelta(func() {
-		cold, err = Sweep(points, TriangularFactory, 2)
+		cold, err = Sweep(context.Background(), points, TriangularFactory, 2, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,7 +108,7 @@ func TestSchedulerDiskCacheWarmAndCorrupt(t *testing.T) {
 	ResetSweepCache() // forget the in-process memo; disk must serve everything
 	var warm []PointResult
 	warmStats := statsDelta(func() {
-		warm, err = Sweep(points, TriangularFactory, 2)
+		warm, err = Sweep(context.Background(), points, TriangularFactory, 2, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +124,7 @@ func TestSchedulerDiskCacheWarmAndCorrupt(t *testing.T) {
 	ResetSweepCache()
 	var again []PointResult
 	corruptStats := statsDelta(func() {
-		again, err = Sweep(points, TriangularFactory, 2)
+		again, err = Sweep(context.Background(), points, TriangularFactory, 2, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -130,7 +131,7 @@ func TestAllExperimentsRunQuick(t *testing.T) {
 // the predictive algorithm's combined metric is never worse, and is
 // strictly better once replication is in play.
 func TestHeadlineOrderingTriangular(t *testing.T) {
-	results, err := CachedSweep("triangular", quickCtx().sweepPoints(), TriangularFactory, 0)
+	results, err := Sweep(context.Background(), quickCtx().sweepPoints(), TriangularFactory, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,14 +166,14 @@ func TestHeadlineOrderingTriangular(t *testing.T) {
 }
 
 func TestSweepDeterministic(t *testing.T) {
-	a, err := Sweep([]int{10}, TriangularFactory, 2)
+	a, err := Sweep(context.Background(), []int{10}, TriangularFactory, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Reset so the second sweep re-simulates instead of reading the
 	// scheduler's run memo — equality must come from determinism.
 	ResetSweepCache()
-	b, err := Sweep([]int{10}, TriangularFactory, 2)
+	b, err := Sweep(context.Background(), []int{10}, TriangularFactory, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,17 +184,27 @@ func TestSweepDeterministic(t *testing.T) {
 	}
 }
 
+// TestCachedSweepReturnsSameSlice repeats an identical sweep and asserts
+// the second call is served wholly from the run memo: no cell simulates
+// again and the returned points equal the first call's.
 func TestCachedSweepReturnsSameSlice(t *testing.T) {
-	x, err := CachedSweep("test-key", []int{4}, TriangularFactory, 1)
+	ResetSweepCache()
+	x, err := Sweep(context.Background(), []int{4}, TriangularFactory, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	y, err := CachedSweep("test-key", []int{4}, TriangularFactory, 1)
+	var y []PointResult
+	d := statsDelta(func() {
+		y, err = Sweep(context.Background(), []int{4}, TriangularFactory, 1, 1)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if &x[0] != &y[0] {
-		t.Error("cache miss on identical key")
+	if d.Simulated != 0 {
+		t.Errorf("identical sweep simulated %d cells, want 0 (cache miss)", d.Simulated)
+	}
+	if !reflect.DeepEqual(x, y) {
+		t.Errorf("identical sweep returned different points:\n%+v\n%+v", x, y)
 	}
 }
 

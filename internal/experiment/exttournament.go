@@ -63,7 +63,7 @@ func tournamentPolicies(ctx Context) []core.Algorithm {
 // policy over every cell it ran.
 func runExtTournament(ctx Context) (Output, error) {
 	const maxUnits = 16
-	// A tournament compares fresh runs of every policy; a sweep cache
+	// A tournament compares fresh runs of every policy; a run memo
 	// warmed by an earlier experiment in the same process must not leak
 	// point results across the policy axis (see the aliasing regression
 	// test in policy_conformance).

@@ -30,8 +30,8 @@ func TestTournamentCellsNeverAlias(t *testing.T) {
 		{core.PeriodStretch, core.ImpreciseShed},
 		{core.Predictive, core.PeriodStretch},
 	} {
-		fpA := Fingerprint(cfg, algs[0], []core.TaskSetup{setupA})
-		fpB := Fingerprint(cfg, algs[1], []core.TaskSetup{setupB})
+		fpA := RunKey(cfg, algs[0], []core.TaskSetup{setupA})
+		fpB := RunKey(cfg, algs[1], []core.TaskSetup{setupB})
 		if fpA == fpB {
 			t.Errorf("%s and %s alias to fingerprint %s under an identical config", algs[0], algs[1], fpA)
 		}
@@ -84,8 +84,8 @@ func TestTournamentKnobsSplitCacheCells(t *testing.T) {
 	tuned := base
 	tuned.Policy.Stretch.MaxFactor = 3
 
-	if Fingerprint(base, core.PeriodStretch, []core.TaskSetup{setup}) ==
-		Fingerprint(tuned, core.PeriodStretch, []core.TaskSetup{setup}) {
+	if RunKey(base, core.PeriodStretch, []core.TaskSetup{setup}) ==
+		RunKey(tuned, core.PeriodStretch, []core.TaskSetup{setup}) {
 		t.Error("stretch MaxFactor knob does not split the cache cell")
 	}
 }

@@ -34,22 +34,18 @@ const cacheSchema = 4
 // fingerprint equal exactly when their demand curves agree at the probes.
 var demandProbeSizes = [...]int{100, 1700, 4900}
 
-// runFingerprint content-addresses one simulation run: the SHA-256 of a
+// RunKey content-addresses one simulation run: the SHA-256 of a
 // canonical description of everything that determines its result — the
 // schema version, the algorithm, the full config (seed included, the
 // telemetry recorder excluded: it observes a run, it does not shape one)
 // and, per task, the spec identity, demand-curve probes, placement,
 // workload pattern, and fitted regression models. The hex digest doubles
-// as the scheduler's dedup key and the disk cache's file name.
-// RunKey exposes the run fingerprint: the rmserved daemon stamps it on
-// jobs and journal records so clients can resubmit or poll a run by
-// content address across daemon restarts (at-least-once delivery made
-// idempotent by fingerprint).
+// as the scheduler's dedup key and the disk cache's file name; the
+// rmserved daemon stamps it on jobs and journal records so clients can
+// resubmit or poll a run by content address across daemon restarts, and
+// test suites (the policy conformance harness's knob-sensitivity check)
+// use it to assert that two run descriptions do or do not alias.
 func RunKey(cfg core.Config, alg core.Algorithm, setups []core.TaskSetup) string {
-	return runFingerprint(cfg, alg, setups)
-}
-
-func runFingerprint(cfg core.Config, alg core.Algorithm, setups []core.TaskSetup) string {
 	var b strings.Builder
 	cfg.Telemetry = nil
 	// The lane *partition* shapes results (Lanes stays in the %#v dump);
@@ -80,12 +76,4 @@ func runFingerprint(cfg core.Config, alg core.Algorithm, setups []core.TaskSetup
 	}
 	sum := sha256.Sum256([]byte(b.String()))
 	return hex.EncodeToString(sum[:])
-}
-
-// Fingerprint exposes the content address of one run — the scheduler's
-// dedup key and disk-cache file name — so external test suites (the
-// policy conformance harness's knob-sensitivity check) can assert that
-// two run descriptions do or do not alias.
-func Fingerprint(cfg core.Config, alg core.Algorithm, setups []core.TaskSetup) string {
-	return runFingerprint(cfg, alg, setups)
 }

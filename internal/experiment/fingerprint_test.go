@@ -21,9 +21,9 @@ func TestFingerprintCoversEveryConfigField(t *testing.T) {
 	}
 	setups := []core.TaskSetup{setup}
 	base := core.DefaultConfig()
-	baseFP := runFingerprint(base, core.Predictive, setups)
+	baseFP := RunKey(base, core.Predictive, setups)
 
-	if runFingerprint(base, core.NonPredictive, setups) == baseFP {
+	if RunKey(base, core.NonPredictive, setups) == baseFP {
 		t.Error("algorithm does not alter the fingerprint")
 	}
 
@@ -152,7 +152,7 @@ func TestFingerprintCoversEveryConfigField(t *testing.T) {
 			t.Errorf("field %s: kind not mutable by the coverage walker", p)
 			continue
 		}
-		if runFingerprint(cfg, core.Predictive, setups) == baseFP {
+		if RunKey(cfg, core.Predictive, setups) == baseFP {
 			t.Errorf("field %s does not alter the run fingerprint — the disk cache would serve "+
 				"stale results for configs differing only in this field", p)
 		}
@@ -175,7 +175,7 @@ func TestFingerprintExcludesTelemetry(t *testing.T) {
 	base := core.DefaultConfig()
 	with := base
 	with.Telemetry = nil // ScheduledRun forbids non-nil; simulate the field changing identity
-	if runFingerprint(base, core.Predictive, setups) != runFingerprint(with, core.Predictive, setups) {
+	if RunKey(base, core.Predictive, setups) != RunKey(with, core.Predictive, setups) {
 		t.Error("telemetry field altered the fingerprint")
 	}
 }
@@ -194,12 +194,12 @@ func TestFingerprintExcludesParallelButNotLanes(t *testing.T) {
 	base := core.DefaultConfig()
 	with := base
 	with.Parallel = 8
-	if runFingerprint(base, core.Predictive, setups) != runFingerprint(with, core.Predictive, setups) {
+	if RunKey(base, core.Predictive, setups) != RunKey(with, core.Predictive, setups) {
 		t.Error("Parallel altered the fingerprint; serial and parallel runs would not share cache entries")
 	}
 	laned := base
 	laned.Lanes = 2
-	if runFingerprint(base, core.Predictive, setups) == runFingerprint(laned, core.Predictive, setups) {
+	if RunKey(base, core.Predictive, setups) == RunKey(laned, core.Predictive, setups) {
 		t.Error("Lanes did not alter the fingerprint; partitioned runs would serve single-segment cache entries")
 	}
 }
@@ -215,7 +215,7 @@ func TestFingerprintSeparatesChaosCells(t *testing.T) {
 	seen := map[string]string{}
 	for _, in := range chaosIntensities() {
 		for _, alg := range []core.Algorithm{core.Predictive, core.NonPredictive} {
-			fp := runFingerprint(chaosConfig(in, chaosSeed(in.name, alg, 0)), alg, setups)
+			fp := RunKey(chaosConfig(in, chaosSeed(in.name, alg, 0)), alg, setups)
 			id := in.name + "/" + string(alg)
 			if prev, ok := seen[fp]; ok {
 				t.Fatalf("fingerprint collision between %s and %s", prev, id)

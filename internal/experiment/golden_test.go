@@ -20,6 +20,7 @@ package experiment
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -112,13 +113,13 @@ func TestGoldenSweepAcrossParallelism(t *testing.T) {
 			// Drop memoized runs so every Sweep below actually simulates
 			// under its own scheduling instead of reading the run memo.
 			ResetSweepCache()
-			serial, err := Sweep(goldenPoints(), tc.factory, 1)
+			serial, err := Sweep(context.Background(), goldenPoints(), tc.factory, 1, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, parallelism := range []int{2, 7} {
 				ResetSweepCache()
-				parallel, err := Sweep(goldenPoints(), tc.factory, parallelism)
+				parallel, err := Sweep(context.Background(), goldenPoints(), tc.factory, parallelism, 1)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -143,7 +144,7 @@ func TestGoldenSweepSnapshot(t *testing.T) {
 		{"decreasing", DecreasingFactory},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			results, err := Sweep(goldenPoints(), tc.factory, 1)
+			results, err := Sweep(context.Background(), goldenPoints(), tc.factory, 1, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -158,7 +159,7 @@ func TestGoldenSweepSnapshot(t *testing.T) {
 // metrics are byte-for-byte the committed single-run golden.
 func TestGoldenSeedZeroUnchangedUnderReplication(t *testing.T) {
 	ResetSweepCache()
-	results, err := SweepSeeds(goldenPoints(), TriangularFactory, 2, 3)
+	results, err := Sweep(context.Background(), goldenPoints(), TriangularFactory, 2, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -92,7 +93,7 @@ func TestWallObserverCellLifecycle(t *testing.T) {
 	defer SetWallObserver(nil)
 
 	cfg, setups := observerRunSetup(t, 1)
-	if _, err := ScheduledRun(cfg, core.Predictive, setups); err != nil {
+	if _, err := ScheduledRun(context.Background(), cfg, core.Predictive, setups); err != nil {
 		t.Fatal(err)
 	}
 	queued, started, diskHits, finished := rec.snapshot()
@@ -105,7 +106,7 @@ func TestWallObserverCellLifecycle(t *testing.T) {
 	}
 
 	// Memory hit: the memoized result is returned without re-queueing.
-	if _, err := ScheduledRun(cfg, core.Predictive, setups); err != nil {
+	if _, err := ScheduledRun(context.Background(), cfg, core.Predictive, setups); err != nil {
 		t.Fatal(err)
 	}
 	queued, started, _, finished = rec.snapshot()
@@ -135,13 +136,13 @@ func TestWallObserverDiskHit(t *testing.T) {
 	defer SetWallObserver(nil)
 
 	cfg, setups := observerRunSetup(t, 2)
-	cold, err := ScheduledRun(cfg, core.Predictive, setups)
+	cold, err := ScheduledRun(context.Background(), cfg, core.Predictive, setups)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	ResetSweepCache() // forget the in-process memo; disk must serve the rerun
-	warm, err := ScheduledRun(cfg, core.Predictive, setups)
+	warm, err := ScheduledRun(context.Background(), cfg, core.Predictive, setups)
 	if err != nil {
 		t.Fatal(err)
 	}

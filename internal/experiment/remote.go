@@ -78,7 +78,7 @@ func EncodeRunRequest(cfg core.Config, alg core.Algorithm, setups []core.TaskSet
 		return api.RunRequest{}, false
 	}
 	wireCfg := api.ConfigFromCore(cfg)
-	want := runFingerprint(cfg, alg, setups)
+	want := RunKey(cfg, alg, setups)
 	for _, models := range []string{api.ModelsProfiled, api.ModelsPaper, api.ModelsGroundTruth} {
 		req := api.RunRequest{
 			SchemaVersion: api.SchemaVersion,
@@ -90,7 +90,7 @@ func EncodeRunRequest(cfg core.Config, alg core.Algorithm, setups []core.TaskSet
 		if err != nil {
 			continue
 		}
-		if runFingerprint(mcfg, malg, msetups) == want {
+		if RunKey(mcfg, malg, msetups) == want {
 			return req, true
 		}
 	}

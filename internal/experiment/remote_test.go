@@ -29,7 +29,7 @@ func TestEncodeRunRequestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := runFingerprint(mcfg, malg, msetups), runFingerprint(cfg, core.Predictive, setups); got != want {
+	if got, want := RunKey(mcfg, malg, msetups), RunKey(cfg, core.Predictive, setups); got != want {
 		t.Errorf("materialized fingerprint %s != original %s", got, want)
 	}
 }
@@ -79,7 +79,7 @@ func TestRemoteRunnerDelegation(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.Seed = 880002 // unique cell: must not collide with other tests' memoized runs
 	d := statsDelta(func() {
-		out, err := ScheduledRun(cfg, core.Predictive, []core.TaskSetup{setup})
+		out, err := ScheduledRun(context.Background(), cfg, core.Predictive, []core.TaskSetup{setup})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,7 +102,7 @@ func TestRemoteRunnerDelegation(t *testing.T) {
 	homed.Homes = []int{0, 1, 2, 3, 4}
 	cfg.Seed = 880003
 	d = statsDelta(func() {
-		if _, err := ScheduledRun(cfg, core.Predictive, []core.TaskSetup{homed}); err != nil {
+		if _, err := ScheduledRun(context.Background(), cfg, core.Predictive, []core.TaskSetup{homed}); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -6,6 +6,7 @@ package experiment
 // service-layer fault harness: the sim hook and the FS injector).
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -45,7 +46,7 @@ func TestWorkerPanicIsolated(t *testing.T) {
 		return nil
 	})
 
-	_, err := ScheduledRun(faultCfg(0xdead01), core.Predictive, faultSetup(t))
+	_, err := ScheduledRun(context.Background(), faultCfg(0xdead01), core.Predictive, faultSetup(t))
 	p, ok := resil.IsPanic(err)
 	if !ok {
 		t.Fatalf("panicking cell returned %v, want a PanicError", err)
@@ -58,7 +59,7 @@ func TestWorkerPanicIsolated(t *testing.T) {
 	}
 
 	// The pool is still alive: an untainted cell runs to completion.
-	out, err := ScheduledRun(faultCfg(0xa11ce), core.Predictive, faultSetup(t))
+	out, err := ScheduledRun(context.Background(), faultCfg(0xa11ce), core.Predictive, faultSetup(t))
 	if err != nil {
 		t.Fatalf("cell after the panic failed: %v", err)
 	}
@@ -83,10 +84,10 @@ func TestDeterministicErrorsAreMemoized(t *testing.T) {
 	})
 
 	cfg, setups := faultCfg(0xdead02), faultSetup(t)
-	if _, err := ScheduledRun(cfg, core.Predictive, setups); !errors.Is(err, detErr) {
+	if _, err := ScheduledRun(context.Background(), cfg, core.Predictive, setups); !errors.Is(err, detErr) {
 		t.Fatalf("first attempt: %v", err)
 	}
-	if _, err := ScheduledRun(cfg, core.Predictive, setups); !errors.Is(err, detErr) {
+	if _, err := ScheduledRun(context.Background(), cfg, core.Predictive, setups); !errors.Is(err, detErr) {
 		t.Fatalf("second attempt: %v", err)
 	}
 	if calls != 1 {
@@ -110,11 +111,11 @@ func TestTransientErrorsAreEvicted(t *testing.T) {
 	})
 
 	cfg, setups := faultCfg(0xdead03), faultSetup(t)
-	_, err := ScheduledRun(cfg, core.Predictive, setups)
+	_, err := ScheduledRun(context.Background(), cfg, core.Predictive, setups)
 	if !resil.IsTransient(err) {
 		t.Fatalf("first attempt: %v, want transient", err)
 	}
-	out, err := ScheduledRun(cfg, core.Predictive, setups)
+	out, err := ScheduledRun(context.Background(), cfg, core.Predictive, setups)
 	if err != nil {
 		t.Fatalf("retry after transient failure: %v", err)
 	}
@@ -140,7 +141,7 @@ func TestCacheWriteFailureInvisibleToRun(t *testing.T) {
 
 	cfg, setups := faultCfg(0xdead04), faultSetup(t)
 	before := SchedulerStats()
-	out, err := ScheduledRun(cfg, core.Predictive, setups)
+	out, err := ScheduledRun(context.Background(), cfg, core.Predictive, setups)
 	if err != nil {
 		t.Fatalf("run with failing cache writes: %v", err)
 	}
@@ -149,7 +150,7 @@ func TestCacheWriteFailureInvisibleToRun(t *testing.T) {
 	}
 
 	ResetSweepCache() // drop the in-process memo; disk would be next
-	again, err := ScheduledRun(cfg, core.Predictive, setups)
+	again, err := ScheduledRun(context.Background(), cfg, core.Predictive, setups)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -143,12 +143,12 @@ type scheduler struct {
 // sched is the process-wide scheduler every experiment shares.
 var sched = &scheduler{entries: make(map[string]*runEntry)}
 
-// SetParallelism sets the shared worker pool's target width; n ≤ 0 means
+// setParallelism sets the shared worker pool's target width; n ≤ 0 means
 // NumCPU. The pool is global — concurrent callers share it and the most
 // recent setting wins — which is safe because results never depend on the
 // width (every run is independently seeded; the golden tests pin that),
 // only throughput does.
-func SetParallelism(n int) {
+func setParallelism(n int) {
 	if n < 1 {
 		n = runtime.NumCPU()
 	}
@@ -197,17 +197,12 @@ func SchedulerStats() SchedulerCounters {
 // ScheduledRun routes one simulation through the shared scheduler,
 // blocking until its result is available. Identical runs — same config,
 // algorithm and setups by content — execute once and share the outcome.
-// cfg.Telemetry must be nil: an attached recorder is a per-run side
-// effect that neither dedup nor the cache can replay.
-func ScheduledRun(cfg core.Config, alg core.Algorithm, setups []core.TaskSetup) (RunOutcome, error) {
-	return ScheduledRunContext(context.Background(), cfg, alg, setups)
-}
-
-// ScheduledRunContext is ScheduledRun with cancellation: when ctx is done
-// the caller unblocks with ctx.Err(), and the underlying cell — shared
-// with any identical concurrent request — is cancelled once every
-// requester has abandoned it.
-func ScheduledRunContext(ctx context.Context, cfg core.Config, alg core.Algorithm, setups []core.TaskSetup) (RunOutcome, error) {
+// When ctx is done the caller unblocks with ctx.Err(), and the underlying
+// cell — shared with any identical concurrent request — is cancelled once
+// every requester has abandoned it. cfg.Telemetry must be nil: an
+// attached recorder is a per-run side effect that neither dedup nor the
+// cache can replay.
+func ScheduledRun(ctx context.Context, cfg core.Config, alg core.Algorithm, setups []core.TaskSetup) (RunOutcome, error) {
 	if cfg.Telemetry != nil {
 		return RunOutcome{}, fmt.Errorf("experiment: scheduled runs cannot carry a telemetry recorder")
 	}
@@ -217,7 +212,7 @@ func ScheduledRunContext(ctx context.Context, cfg core.Config, alg core.Algorith
 // submit registers one run and returns its entry without waiting, so
 // callers can flatten a whole batch into the queue before blocking.
 func (s *scheduler) submit(cfg core.Config, alg core.Algorithm, setups []core.TaskSetup) *runEntry {
-	key := runFingerprint(cfg, alg, setups)
+	key := RunKey(cfg, alg, setups)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.stats.Requested++
@@ -431,7 +426,7 @@ func simulate(ctx context.Context, cfg core.Config, alg core.Algorithm, setups [
 			return RunOutcome{}, err
 		}
 	}
-	res, err := core.RunContext(ctx, cfg, alg, setups)
+	res, err := core.RunContext(ctx, cfg, alg, setups, nil)
 	if err != nil {
 		return RunOutcome{}, err
 	}
@@ -444,10 +439,14 @@ func simulate(ctx context.Context, cfg core.Config, alg core.Algorithm, setups [
 	return out, nil
 }
 
-// resetRunMemo drops every memoized run outcome; in-flight entries keep
-// completing for their existing waiters. The persistent disk cache, if
-// any, is left untouched.
-func resetRunMemo() {
+// ResetSweepCache drops every memoized run in the shared scheduler;
+// in-flight entries keep completing for their existing waiters. The
+// persistent disk cache, if installed, is not touched — remove it with
+// SetDiskCache(nil) to force re-simulation. Determinism audits
+// (rmexperiments -check-determinism) call it so a repeated experiment
+// re-executes its simulations instead of re-reading memoized results;
+// results handed out before the reset remain valid and read-only.
+func ResetSweepCache() {
 	sched.mu.Lock()
 	sched.entries = make(map[string]*runEntry)
 	sched.mu.Unlock()

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -26,13 +27,14 @@ func statsDelta(f func()) SchedulerCounters {
 
 // TestSchedulerSharesRunsAcrossExperiments drives three experiments with
 // Monte Carlo replication concurrently through the shared scheduler (run
-// under -race by the Makefile's race target). fig9 and fig10 consume the
-// same triangular sweep and fig13 the two ramps, so with quick points
-// (5), two algorithms and three replications the batch requests exactly
-// 3 sweeps × 30 runs. Dedup reaches across sweeps: at workload 0 all
-// three factories degenerate to the same constant pattern, so those 12
-// cells (2 ramp sweeps × 2 algorithms × 3 seeds) are fingerprint-equal
-// to the triangular sweep's and simulate only once.
+// under -race by the Makefile's race target). fig9 and fig10 each
+// request the same triangular sweep and fig13 the two ramps, so with
+// quick points (5), two algorithms and three replications the batch
+// requests exactly 4 sweeps × 30 runs. Dedup happens per run: fig10's
+// 30 cells are fig9's, and at workload 0 all three factories degenerate
+// to the same constant pattern, so the ramp sweeps' 12 workload-0 cells
+// (2 ramp sweeps × 2 algorithms × 3 seeds) are fingerprint-equal to the
+// triangular sweep's. Each shared cell simulates only once.
 func TestSchedulerSharesRunsAcrossExperiments(t *testing.T) {
 	ResetSweepCache()
 	ctx := Context{Quick: true, Parallelism: 4, Seeds: 3}
@@ -55,16 +57,16 @@ func TestSchedulerSharesRunsAcrossExperiments(t *testing.T) {
 		}
 		wg.Wait()
 	})
-	if want := uint64(90); d.Requested != want {
-		t.Errorf("requested %d runs, want %d (3 sweeps × 5 points × 2 algorithms × 3 seeds)",
+	if want := uint64(120); d.Requested != want {
+		t.Errorf("requested %d runs, want %d (4 sweeps × 5 points × 2 algorithms × 3 seeds)",
 			d.Requested, want)
 	}
 	if want := uint64(78); d.Simulated != want {
-		t.Errorf("simulated %d runs, want %d (90 requested − 12 shared workload-0 cells)",
+		t.Errorf("simulated %d runs, want %d (120 requested − 30 fig10 cells − 12 shared workload-0 cells)",
 			d.Simulated, want)
 	}
-	if shared := d.Deduped + d.MemoryHits; shared != 12 {
-		t.Errorf("shared %d runs (%d in flight + %d memoized), want 12", shared, d.Deduped, d.MemoryHits)
+	if shared := d.Deduped + d.MemoryHits; shared != 42 {
+		t.Errorf("shared %d runs (%d in flight + %d memoized), want 42", shared, d.Deduped, d.MemoryHits)
 	}
 	if d.Requested != d.Simulated+d.Deduped+d.MemoryHits+d.DiskHits {
 		t.Errorf("counters do not balance: %+v", d)
@@ -77,7 +79,7 @@ func TestSchedulerSharesRunsAcrossExperiments(t *testing.T) {
 func TestSchedulerDedupsOverlappingSweeps(t *testing.T) {
 	ResetSweepCache()
 	first := statsDelta(func() {
-		if _, err := SweepSeeds([]int{0, 4, 8}, TriangularFactory, 2, 2); err != nil {
+		if _, err := Sweep(context.Background(), []int{0, 4, 8}, TriangularFactory, 2, 2); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -85,7 +87,7 @@ func TestSchedulerDedupsOverlappingSweeps(t *testing.T) {
 		t.Fatalf("cold sweep: %+v, want 12 requested / 12 simulated", first)
 	}
 	second := statsDelta(func() {
-		if _, err := SweepSeeds([]int{4, 8, 12}, TriangularFactory, 2, 2); err != nil {
+		if _, err := Sweep(context.Background(), []int{4, 8, 12}, TriangularFactory, 2, 2); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -109,7 +111,7 @@ func TestScheduledRunRejectsTelemetry(t *testing.T) {
 	}
 	cfg := core.DefaultConfig()
 	cfg.Telemetry = telemetry.New(telemetry.DefaultConfig())
-	if _, err := ScheduledRun(cfg, core.Predictive, []core.TaskSetup{setup}); err == nil {
+	if _, err := ScheduledRun(context.Background(), cfg, core.Predictive, []core.TaskSetup{setup}); err == nil {
 		t.Error("telemetry-carrying run accepted by the scheduler")
 	}
 }

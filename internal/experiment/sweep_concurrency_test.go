@@ -1,54 +1,46 @@
 package experiment
 
 import (
+	"context"
 	"reflect"
 	"sync"
-	"sync/atomic"
 	"testing"
 )
 
-// TestCachedSweepSingleFlight drives many concurrent same-key callers
-// through CachedSweep and asserts the sweep executed exactly once, with
-// every caller receiving the identical result slice. Run under -race
-// (the Makefile's race target covers this package) it also proves the
-// cache's locking is sound.
+// TestCachedSweepSingleFlight drives many concurrent identical Sweep callers
+// through the shared scheduler and asserts every cell simulated exactly
+// once, with every caller receiving equal results. Run under -race (the
+// Makefile's race target covers this package) it also proves the run
+// memo's locking is sound.
 func TestCachedSweepSingleFlight(t *testing.T) {
-	var runs atomic.Int32
-	onSweepStart = func(string) { runs.Add(1) }
-	defer func() { onSweepStart = nil }()
-
-	const (
-		key     = "singleflight-test"
-		callers = 8
-	)
+	ResetSweepCache()
+	const callers = 8
 	results := make([][]PointResult, callers)
 	errs := make([]error, callers)
-	var start, done sync.WaitGroup
-	start.Add(1)
-	for i := 0; i < callers; i++ {
-		i := i
-		done.Add(1)
-		go func() {
-			defer done.Done()
-			start.Wait() // maximize contention on the first access
-			results[i], errs[i] = CachedSweep(key, []int{0, 4}, TriangularFactory, 2)
-		}()
-	}
-	start.Done()
-	done.Wait()
-
+	d := statsDelta(func() {
+		var start, done sync.WaitGroup
+		start.Add(1)
+		for i := 0; i < callers; i++ {
+			i := i
+			done.Add(1)
+			go func() {
+				defer done.Done()
+				start.Wait() // maximize contention on the first access
+				results[i], errs[i] = Sweep(context.Background(), []int{0, 4}, TriangularFactory, 2, 1)
+			}()
+		}
+		start.Done()
+		done.Wait()
+	})
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("caller %d: %v", i, err)
 		}
 	}
-	if got := runs.Load(); got != 1 {
-		t.Fatalf("sweep executed %d times for one key, want 1", got)
+	if d.Simulated != 4 {
+		t.Fatalf("simulated %d runs, want 4 (2 points × 2 algorithms, shared by %d callers)", d.Simulated, callers)
 	}
 	for i := 1; i < callers; i++ {
-		if &results[i][0] != &results[0][0] {
-			t.Fatalf("caller %d received a different result slice", i)
-		}
 		if !reflect.DeepEqual(results[i], results[0]) {
 			t.Fatalf("caller %d received different results", i)
 		}

@@ -152,7 +152,7 @@ func TestConformanceFingerprintKnobs(t *testing.T) {
 	setup := conformanceSetup(t, experiment.TriangularFactory(4*experiment.WorkloadUnit))
 	base := core.DefaultConfig()
 	seen := map[string]string{
-		"(baseline)": experiment.Fingerprint(base, core.PeriodStretch, []core.TaskSetup{setup}),
+		"(baseline)": experiment.RunKey(base, core.PeriodStretch, []core.TaskSetup{setup}),
 	}
 	var walk func(v reflect.Value, path string, cfg *core.Config)
 	walk = func(v reflect.Value, path string, cfg *core.Config) {
@@ -164,12 +164,12 @@ func TestConformanceFingerprintKnobs(t *testing.T) {
 		case reflect.Float64:
 			old := v.Float()
 			v.SetFloat(old + 0.125)
-			seen[path] = experiment.Fingerprint(*cfg, core.PeriodStretch, []core.TaskSetup{setup})
+			seen[path] = experiment.RunKey(*cfg, core.PeriodStretch, []core.TaskSetup{setup})
 			v.SetFloat(old)
 		case reflect.Int:
 			old := v.Int()
 			v.SetInt(old + 3)
-			seen[path] = experiment.Fingerprint(*cfg, core.PeriodStretch, []core.TaskSetup{setup})
+			seen[path] = experiment.RunKey(*cfg, core.PeriodStretch, []core.TaskSetup{setup})
 			v.SetInt(old)
 		default:
 			t.Fatalf("policy.Config leaf %s has unhandled kind %s — extend the conformance walk", path, v.Kind())

@@ -1,7 +1,7 @@
 // Package server implements rmserved: the long-lived HTTP daemon that
 // turns the shared run scheduler (internal/experiment) into a
 // multi-tenant simulation service. Jobs submitted as api wire specs flow
-// through ScheduledRunContext / SweepSeedsContext, so identical
+// through experiment.ScheduledRun / experiment.Sweep, so identical
 // submissions dedup via single-flight and the content-addressed disk
 // cache exactly as batch experiments do; the serving layer adds the
 // production behaviors batch mode never needed — a bounded queue with

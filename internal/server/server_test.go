@@ -122,7 +122,7 @@ func TestSubmitRunMatchesDirectScheduledRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := experiment.ScheduledRun(cfg, alg, setups)
+	out, err := experiment.ScheduledRun(context.Background(), cfg, alg, setups)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,7 +379,7 @@ func TestJobNotFound(t *testing.T) {
 }
 
 // TestSweepJob: a sweep submitted over the API matches the direct
-// SweepSeeds result exactly.
+// experiment.Sweep result exactly.
 func TestSweepJob(t *testing.T) {
 	_, cl := newTestServer(t, server.Options{})
 	req := api.SweepRequest{
@@ -398,11 +398,11 @@ func TestSweepJob(t *testing.T) {
 	if j.State != api.JobDone || j.Sweep == nil {
 		t.Fatalf("sweep ended %q (error %q)", j.State, j.Error)
 	}
-	direct, err := experiment.SweepSeeds(req.Points, experiment.TriangularFactory, 0, 1)
+	direct, err := experiment.Sweep(context.Background(), req.Points, experiment.TriangularFactory, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got, want := mustJSON(t, *j.Sweep), mustJSON(t, experiment.SweepToAPI(direct)); got != want {
-		t.Errorf("API sweep differs from direct SweepSeeds:\n got %s\nwant %s", got, want)
+		t.Errorf("API sweep differs from direct Sweep:\n got %s\nwant %s", got, want)
 	}
 }

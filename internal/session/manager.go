@@ -120,6 +120,7 @@ func (m *Manager) Create(req api.SessionRequest) (*Session, error) {
 	}
 	m.seq++
 	ctx, cancel := context.WithCancel(context.Background())
+	simCtx, haltSim := context.WithCancel(context.Background())
 	s := &Session{
 		ID:        fmt.Sprintf("sess-%d", m.seq),
 		cfg:       cfg,
@@ -132,6 +133,8 @@ func (m *Manager) Create(req api.SessionRequest) (*Session, error) {
 		hub:       newHub(m.cfg.ReplayWindow, m.cfg.DefaultBuffer),
 		ctx:       ctx,
 		cancel:    cancel,
+		simCtx:    simCtx,
+		haltSim:   haltSim,
 		nowMS:     m.cfg.NowMS,
 		done:      make(chan struct{}),
 		state:     api.SessionRunning,

@@ -193,6 +193,50 @@ func TestStopWhilePaused(t *testing.T) {
 	}
 }
 
+// TestStopAtOnceKeepsFinalState: a session stopped before it publishes
+// anything must still end with a readable final state and a stopped
+// terminal snapshot. The pacing gap (1000 s) is far longer than the
+// test, so only Stop can end the run. Stop may land before the run
+// starts, before its first sample, at a pause gate, or while the run
+// waits out the gap after its first sample; every case must converge.
+func TestStopAtOnceKeepsFinalState(t *testing.T) {
+	m := newTestManager()
+	for i := 0; i < 8; i++ {
+		req := sessionRequest(2000)
+		req.MaxRateHz = 0.001
+		s, err := m.Create(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sub := s.Subscribe(0)
+		if i%2 == 1 {
+			if err := s.Pause(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s.Stop()
+		select {
+		case <-s.Done():
+		case <-time.After(10 * time.Second):
+			t.Fatalf("session %d: stopped session never exited", i)
+		}
+		if got := s.Info().State; got != api.SessionStopped {
+			t.Fatalf("session %d: state = %s, want stopped", i, got)
+		}
+		want, ok := s.State()
+		if !ok {
+			t.Fatalf("session %d: stopped session has no readable state", i)
+		}
+		final, last, _ := drain(t, sub)
+		if last.Type != api.EventSnapshot || last.Session.State != api.SessionStopped {
+			t.Fatalf("session %d: stream ended with %+v, want stopped snapshot", i, last)
+		}
+		if !final.Equal(want) {
+			t.Fatalf("session %d: stream folded to %+v, want %+v", i, final, want)
+		}
+	}
+}
+
 // TestManagerLimits pins the cap, drain, and lookup error surfaces.
 func TestManagerLimits(t *testing.T) {
 	m := NewManager(Config{MaxSessions: 1})

@@ -12,10 +12,15 @@ import (
 )
 
 // Session is one live simulation run fanning its state stream out
-// through a Hub. The run executes on its own goroutine via
-// core.RunObservedContext; pacing and the pause gate live inside the
-// observation callback, so they slow the simulation itself — the stream
-// is never a lossy window onto a run that raced ahead.
+// through a Hub. The run executes on its own goroutine via an observed
+// core.RunContext; pacing and the pause gate live inside the observation
+// callback, so they slow the simulation itself — the stream is never a
+// lossy window onto a run that raced ahead.
+//
+// A stopped session always keeps a readable final state: Stop halts the
+// simulation at once if something was published, and otherwise lets it
+// run (unpaced, ungated) to its first sample, publishes that, and halts
+// there.
 type Session struct {
 	// ID is the session's wire identifier (sess-N).
 	ID string
@@ -29,11 +34,15 @@ type Session struct {
 	heartbeat time.Duration
 	buffer    int
 
-	hub    *Hub
-	ctx    context.Context
-	cancel context.CancelFunc
-	nowMS  func() int64
-	done   chan struct{}
+	hub *Hub
+	// ctx is cancelled by Stop and releases the pacing and pause waits;
+	// simCtx halts the simulation itself, once a state is published.
+	ctx     context.Context
+	cancel  context.CancelFunc
+	simCtx  context.Context
+	haltSim context.CancelFunc
+	nowMS   func() int64
+	done    chan struct{}
 
 	mu         sync.Mutex
 	state      string
@@ -55,8 +64,9 @@ type Session struct {
 func (s *Session) run(wg *sync.WaitGroup) {
 	defer wg.Done()
 	defer close(s.done)
+	defer s.haltSim()
 	obs := &core.Observer{Every: s.every, OnSample: s.onSample}
-	_, err := core.RunObservedContext(s.ctx, s.cfg, s.alg, s.setups, obs)
+	_, err := core.RunContext(s.simCtx, s.cfg, s.alg, s.setups, obs)
 	s.mu.Lock()
 	switch {
 	case err == nil:
@@ -75,19 +85,23 @@ func (s *Session) run(wg *sync.WaitGroup) {
 
 // onSample is the observation hook: pace, honor a pause, publish.
 // It runs on the simulation goroutine, so blocking here blocks the
-// simulation — which is exactly what pacing and pause mean.
+// simulation — which is exactly what pacing and pause mean. Once the
+// session is stopped it publishes only a first sample, so the hub never
+// closes without a state, and then halts the simulation.
 func (s *Session) onSample(o core.Observation) {
 	if !o.Final {
 		s.pace()
 	}
 	s.await()
-	if s.ctx.Err() != nil {
-		return
+	if s.ctx.Err() == nil || s.hub.Seq() == 0 {
+		s.mu.Lock()
+		stamp := s.stampLocked()
+		s.mu.Unlock()
+		s.hub.Publish(stamp, stateOf(o))
 	}
-	s.mu.Lock()
-	stamp := s.stampLocked()
-	s.mu.Unlock()
-	s.hub.Publish(stamp, stateOf(o))
+	if s.ctx.Err() != nil {
+		s.haltSim()
+	}
 }
 
 // pace sleeps the simulation so samples land at most 1/minGap per
@@ -194,9 +208,15 @@ func (s *Session) Resume() error {
 
 // Stop cancels the run; the simulation halts between events (releasing
 // a pause gate if one is held) and the stream closes with a stopped
-// stamp. Stopping a terminal session is a no-op.
+// stamp. A session stopped before its first sample still publishes that
+// sample first (see onSample). Stopping a terminal session is a no-op.
 func (s *Session) Stop() {
 	s.cancel()
+	// Cancel before reading Seq: onSample either published before this
+	// read (so Seq > 0 here) or checks ctx after it and halts itself.
+	if s.hub.Seq() > 0 {
+		s.haltSim()
+	}
 }
 
 // Done closes once the run goroutine has exited and the hub is closed.
