@@ -2,11 +2,17 @@
 // the Go benchmark harness: one benchmark per table and figure (the
 // `rmexperiments` command prints the full sweeps; these time one
 // representative unit of each), plus ablation benchmarks for the design
-// choices called out in DESIGN.md §5.
+// choices called out in DESIGN.md §5, plus the lane-speedup gate of
+// DESIGN.md §9.
 package repro
 
 import (
+	"fmt"
+	"math"
+	"runtime"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/cpu"
@@ -265,4 +271,194 @@ func BenchmarkAblationDisciplines(b *testing.B) {
 func BenchmarkClockSyncOverhead(b *testing.B) {
 	runOne(b, core.Predictive, experiment.TriangularFactory(20*experiment.WorkloadUnit),
 		func(c *core.Config) { c.ClockSync = true })
+}
+
+// --- Lane speedup gate (DESIGN.md §9) -------------------------------------
+
+// The big-topology run: 8 network segments (lanes) of 8 processors each,
+// loaded with six tasks per segment drawn from two period classes (the
+// Table 1 second, and a half-period class at twice the rate).
+const (
+	bigTopologyLanes    = 8
+	bigTopologyPeriods  = 256 // anchor pattern length; sizes the serial run
+	bigTopologyNumTasks = 6 * bigTopologyLanes
+)
+
+// bigTopologyPattern varies demand shape by task index so segments adapt
+// on decorrelated schedules rather than in lockstep. periods is the
+// pattern length: the fast period class gets twice as many so both
+// classes span the same simulated horizon.
+func bigTopologyPattern(i, periods int) workload.Pattern {
+	switch i % 3 {
+	case 0:
+		return workload.NewStep(500, 6000, periods, periods/2)
+	case 1:
+		return workload.NewTriangular(500, 5000, periods, 4)
+	default:
+		return workload.NewConstant(2500, periods)
+	}
+}
+
+func bigTopologySetups() ([]core.TaskSetup, error) {
+	setups := make([]core.TaskSetup, bigTopologyNumTasks)
+	for i := range setups {
+		// Second period class: twice the rate, twice the pattern length.
+		// With nil Homes, task i lands on lane i mod lanes, so every lane
+		// gets three tasks from each class.
+		fast := i >= bigTopologyNumTasks/2
+		periods := bigTopologyPeriods
+		if fast {
+			periods *= 2
+		}
+		s, err := experiment.BenchmarkSetup(bigTopologyPattern(i, periods))
+		if err != nil {
+			return nil, err
+		}
+		s.Spec.Name = fmt.Sprintf("BT%02d", i)
+		if fast {
+			s.Spec.Period /= 2
+			s.Spec.Deadline /= 2
+		}
+		setups[i] = s
+	}
+	return setups, nil
+}
+
+// The parallel big-topology run must beat its serial twin by at least
+// minLaneSpeedup on best-of-N wall time — the point of the sharded
+// simulation core. The gate binds only on a host with real parallel
+// capacity (≥ minGateCapacity on the spin test) at GOMAXPROCS ≥ 4; a
+// one-core runner reports the ratio but cannot meaningfully fail it.
+const (
+	minLaneSpeedup  = 1.7
+	minGateCapacity = 3.0
+)
+
+// laneGate applies the lane-speedup rule to one measurement.
+func laneGate(speedup, capacity float64, gomaxprocs int) (binding, pass bool) {
+	binding = capacity >= minGateCapacity && gomaxprocs >= 4
+	return binding, !binding || speedup >= minLaneSpeedup
+}
+
+// spinSink defeats dead-code elimination of the capacity spin loops.
+var spinSink uint64
+
+func spinWork(n int) uint64 {
+	x := uint64(0x9e3779b97f4a7c15)
+	for i := 0; i < n; i++ {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+	}
+	return x
+}
+
+// measureParallelCapacity runs an embarrassingly parallel spin load at
+// GOMAXPROCS≥4 and reports serial wall / parallel wall — the host's real
+// capacity to run four goroutines at once. runtime.NumCPU is useless for
+// this inside containers (it reads the cgroup's view, which is often 1
+// while the scheduler happily runs on more cores), so we measure.
+func measureParallelCapacity() float64 {
+	if prev := runtime.GOMAXPROCS(0); prev < 4 {
+		runtime.GOMAXPROCS(4)
+		defer runtime.GOMAXPROCS(prev)
+	}
+	const shards = 4
+	const iters = 30_000_000
+	spinSink += spinWork(iters) // warm up the loop and the scheduler
+
+	start := time.Now()
+	for s := 0; s < shards; s++ {
+		spinSink += spinWork(iters)
+	}
+	serial := time.Since(start)
+
+	results := make([]uint64, shards)
+	var wg sync.WaitGroup
+	start = time.Now()
+	for s := 0; s < shards; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			results[s] = spinWork(iters)
+		}(s)
+	}
+	wg.Wait()
+	parallel := time.Since(start)
+	for _, r := range results {
+		spinSink += r
+	}
+	if parallel <= 0 {
+		return 1
+	}
+	return float64(serial) / float64(parallel)
+}
+
+// BenchmarkLaneSpeedup times the 64-node, 8-lane run with the serial
+// lane driver and with one worker per lane, best of b.N each, and gates
+// their ratio with laneGate. Run it with
+//
+//	go test -run '^$' -bench '^BenchmarkLaneSpeedup$' -benchtime 3x .
+func BenchmarkLaneSpeedup(b *testing.B) {
+	setups, err := bigTopologySetups()
+	if err != nil {
+		b.Fatal(err)
+	}
+	bestOf := func(workers int) time.Duration {
+		cfg := core.DefaultConfig()
+		cfg.NumNodes = bigTopologyLanes * 8
+		cfg.Lanes = bigTopologyLanes
+		cfg.Parallel = workers
+		best := time.Duration(math.MaxInt64)
+		for i := 0; i < b.N; i++ {
+			start := time.Now()
+			if _, err := core.Run(cfg, core.Predictive, setups); err != nil {
+				b.Fatal(err)
+			}
+			best = min(best, time.Since(start))
+		}
+		return best
+	}
+	b.ResetTimer()
+	serial, parallel := bestOf(1), bestOf(bigTopologyLanes)
+	b.StopTimer()
+
+	speedup := float64(serial) / float64(parallel)
+	capacity := measureParallelCapacity()
+	procs := runtime.GOMAXPROCS(0)
+	b.ReportMetric(speedup, "speedup-x")
+	b.ReportMetric(capacity, "capacity-x")
+	binding, pass := laneGate(speedup, capacity, procs)
+	msg := fmt.Sprintf("serial %v / parallel %v = %.2f× (need ≥ %.1f×; host capacity %.2f×, GOMAXPROCS %d)",
+		serial, parallel, speedup, minLaneSpeedup, capacity, procs)
+	switch {
+	case !pass:
+		b.Fatal("lane speedup below the bar: " + msg)
+	case !binding:
+		b.Logf("lane speedup not binding (needs capacity ≥ %.0f× and GOMAXPROCS ≥ 4): %s", minGateCapacity, msg)
+	default:
+		b.Log("lane speedup: " + msg)
+	}
+}
+
+// TestLaneSpeedupGate pins when the lane-speedup gate binds and when it
+// fails.
+func TestLaneSpeedupGate(t *testing.T) {
+	for _, tc := range []struct {
+		name                string
+		speedup, capacity   float64
+		gomaxprocs          int
+		wantBinding, wantOK bool
+	}{
+		{"binding pass", 2.0, 4, 4, true, true},
+		{"binding fail below bar", 1.25, 4, 4, true, false},
+		{"low capacity not binding", 1.25, 1, 4, false, true},
+		{"low GOMAXPROCS not binding", 1.25, 4, 2, false, true},
+	} {
+		binding, pass := laneGate(tc.speedup, tc.capacity, tc.gomaxprocs)
+		if binding != tc.wantBinding || pass != tc.wantOK {
+			t.Errorf("%s: laneGate(%.2f, %.1f, %d) = (%v, %v), want (%v, %v)", tc.name,
+				tc.speedup, tc.capacity, tc.gomaxprocs, binding, pass, tc.wantBinding, tc.wantOK)
+		}
+	}
 }

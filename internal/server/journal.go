@@ -86,6 +86,20 @@ func decodeRecord(line []byte) (journalRecord, error) {
 	if err := json.Unmarshal(payload, &rec); err != nil {
 		return rec, fmt.Errorf("server: journal payload: %w", err)
 	}
+	// JSON decodes an empty omitempty list (`"values":[]`) as a non-nil
+	// empty slice but encodes it as absent, so such a record would not
+	// survive its own re-encoding. Return the record of the canonical
+	// encoding instead: the one encodeRecord writes back.
+	canon, err := json.Marshal(rec)
+	if err != nil {
+		return journalRecord{}, fmt.Errorf("server: journal payload: %w", err)
+	}
+	if !bytes.Equal(canon, payload) {
+		rec = journalRecord{}
+		if err := json.Unmarshal(canon, &rec); err != nil {
+			return rec, fmt.Errorf("server: journal payload: %w", err)
+		}
+	}
 	return rec, nil
 }
 

@@ -14,6 +14,7 @@ import (
 	"repro/internal/api"
 	"repro/internal/client"
 	"repro/internal/experiment"
+	"repro/internal/resil"
 	"repro/internal/server"
 )
 
@@ -242,9 +243,11 @@ func TestCancelMidRun(t *testing.T) {
 }
 
 // TestQueueFullReturns429: with one worker and a one-deep queue, a third
-// submission is rejected with the queue_full envelope.
+// submission is rejected with the queue_full envelope. It goes through a
+// single-attempt client so the test sees the first 429 rather than the
+// default client's Retry-After-paced retries (covered in internal/client).
 func TestQueueFullReturns429(t *testing.T) {
-	_, cl := newTestServer(t, server.Options{Workers: 1, QueueDepth: 1})
+	_, url, cl := newRawServer(t, server.Options{Workers: 1, QueueDepth: 1})
 	ctx := context.Background()
 
 	running, err := cl.SubmitRun(ctx, runReq(770004, longValues()))
@@ -258,7 +261,8 @@ func TestQueueFullReturns429(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, err = cl.SubmitRun(ctx, runReq(770006, longValues()))
+	once := client.New(url, client.WithRetries(resil.Backoff{Attempts: 1}))
+	_, err = once.SubmitRun(ctx, runReq(770006, longValues()))
 	var apiErr *client.APIError
 	if !errors.As(err, &apiErr) || apiErr.Status != 429 || apiErr.Code != api.CodeQueueFull {
 		t.Fatalf("third submission error %v, want 429 %s", err, api.CodeQueueFull)
