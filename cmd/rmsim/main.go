@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -22,6 +23,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/chaos"
 	"repro/internal/cliflag"
 	"repro/internal/core"
@@ -97,7 +99,7 @@ func main() {
 		}
 		p = workload.NewCustom(*wlFile, values)
 	} else {
-		p, err = buildPattern(*pattern, *min, *max, *periods)
+		p, err = patternFromFlags(*pattern, *min, *max, *periods)
 		if err != nil {
 			fatal(err)
 		}
@@ -138,14 +140,12 @@ func main() {
 	if *mtbf > 0 || *drop > 0 {
 		cfg.Degradation = core.HardenedDegradation()
 	}
+	var probe *core.Observer
 	if *telOut != "" || *chrome != "" || *httpAddr != "" {
-		cfg.Telemetry = telemetry.New(telemetry.DefaultConfig())
+		probe = &core.Observer{Telemetry: telemetry.New(telemetry.DefaultConfig())}
 	}
 	setups := []core.TaskSetup{setup}
 	if *lanes >= 2 {
-		if cfg.Telemetry.Enabled() {
-			fatal(fmt.Errorf("-lanes %d cannot be combined with telemetry outputs (per-lane recorders cannot be merged)", *lanes))
-		}
 		// One segment of the default size per lane, each running its own
 		// copy of the task (nil Homes sends copy l to lane l).
 		cfg.NumNodes *= *lanes
@@ -163,7 +163,7 @@ func main() {
 	if err := cfg.Validate(); err != nil {
 		fatal(err)
 	}
-	res, err := core.Run(cfg, alg, setups)
+	res, err := core.RunContext(context.Background(), cfg, alg, setups, probe)
 	if err != nil {
 		fatal(err)
 	}
@@ -204,8 +204,8 @@ func main() {
 			s.P50, s.P95, s.Max, dynbench.Deadline)
 	}
 
-	if cfg.Telemetry.Enabled() {
-		printTelemetrySummary(cfg.Telemetry.Snapshot())
+	if probe != nil {
+		printTelemetrySummary(probe.Telemetry.Snapshot())
 	}
 
 	if *events {
@@ -229,13 +229,13 @@ func main() {
 		})
 	}
 	if *telOut != "" {
-		writeOutput(*telOut, *force, "telemetry snapshot", cfg.Telemetry.WriteSnapshot)
+		writeOutput(*telOut, *force, "telemetry snapshot", probe.Telemetry.WriteSnapshot)
 	}
 	if *chrome != "" {
-		writeOutput(*chrome, *force, "Chrome trace", cfg.Telemetry.WriteChromeTrace)
+		writeOutput(*chrome, *force, "Chrome trace", probe.Telemetry.WriteChromeTrace)
 	}
 	if *httpAddr != "" {
-		srv, addr, err := cfg.Telemetry.Serve(*httpAddr)
+		srv, addr, err := probe.Telemetry.Serve(*httpAddr)
 		if err != nil {
 			fatal(err)
 		}
@@ -310,25 +310,24 @@ func writeOutput(path string, force bool, what string, write func(io.Writer) err
 	fmt.Printf("\n%s written to %s\n", what, path)
 }
 
-func buildPattern(name string, min, max, periods int) (workload.Pattern, error) {
-	switch name {
-	case "triangular":
-		return workload.NewTriangular(min, max, periods, 2), nil
-	case "increasing":
-		return workload.NewIncreasingRamp(min, max, periods), nil
-	case "decreasing":
-		return workload.NewDecreasingRamp(min, max, periods), nil
-	case "step":
-		return workload.NewStep(min, max, periods, periods/2), nil
-	case "burst":
-		return workload.NewBurst(min, max, periods, 20, 5), nil
-	case "sinusoid":
-		return workload.NewSinusoid(min, max, periods, 3), nil
-	case "constant":
-		return workload.NewConstant(max, periods), nil
-	default:
-		return nil, fmt.Errorf("unknown pattern %q", name)
+// patternFromFlags builds the -pattern workload through the wire
+// schema, so bad flags get the same validation errors a submitted run
+// does instead of a constructor panic.
+func patternFromFlags(kind string, min, max, periods int) (workload.Pattern, error) {
+	p := api.Pattern{Kind: kind, Min: min, Max: max, Periods: periods}
+	switch kind {
+	case api.PatternTriangular:
+		p.Cycles = 2
+	case api.PatternSinusoid:
+		p.Cycles = 3
+	case api.PatternStep:
+		p.SwitchAt = periods / 2
+	case api.PatternBurst:
+		p.Every, p.Len = 20, 5
+	case api.PatternConstant:
+		p = api.Pattern{Kind: kind, Value: max, Periods: periods}
 	}
+	return p.ToWorkload()
 }
 
 // faultList parses repeated -fail flags of the form node@at[+duration],

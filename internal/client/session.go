@@ -2,13 +2,9 @@ package client
 
 import (
 	"context"
-	"errors"
-	"fmt"
-	"io"
 	"net/http"
 
 	"repro/internal/api"
-	"repro/internal/obs"
 )
 
 // CreateSession starts a live simulation session and returns its wire
@@ -76,91 +72,25 @@ func (c *Client) StopSession(ctx context.Context, id string) (api.Session, error
 func (c *Client) StreamSession(ctx context.Context, id string, fn func(api.Event)) (api.SessionState, api.Session, error) {
 	var st api.SessionState
 	var sess api.Session
-	var lastEventID string
-	sleep := c.sleeper()
-	var err error
-	for attempt := 1; ; attempt++ {
-		var progressed bool
-		progressed, err = c.streamSessionOnce(ctx, id, &lastEventID, &st, &sess, fn)
-		if err == nil {
-			return st, sess, nil
-		}
-		if progressed {
-			attempt = 1
-		}
-		if !Retryable(err) || attempt >= c.Retry.MaxAttempts() {
-			return st, sess, err
-		}
-		if c.Logger != nil {
-			c.Logger.Debug("rmserved session stream reconnecting", "session", id, "attempt", attempt, "last_event_id", lastEventID, "error", err.Error())
-		}
-		if serr := sleep(ctx, c.Retry.Delay(attempt)); serr != nil {
-			return st, sess, err
-		}
-	}
-}
-
-// streamSessionOnce holds one stream connection open, folding frames
-// into *st and tracking the resume position. It returns nil once a
-// frame stamped with a terminal session state arrived, and whether any
-// state frame was folded (progress, for the reconnect budget).
-func (c *Client) streamSessionOnce(ctx context.Context, id string, lastEventID *string, st *api.SessionState, sess *api.Session, fn func(api.Event)) (bool, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/sessions/"+id+"/stream", nil)
-	if err != nil {
-		return false, err
-	}
-	req.Header.Set("Accept", "text/event-stream")
-	req.Header.Set(obs.RequestIDHeader, requestID(ctx))
-	if *lastEventID != "" {
-		req.Header.Set("Last-Event-ID", *lastEventID)
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return false, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return false, decodeError(resp)
-	}
-	progressed := false
-	err = scanSSE(resp.Body, func(evID, name string, data []byte) error {
-		ev, perr := api.ParseSSE(name, data)
-		if perr != nil {
-			if errors.Is(perr, api.ErrUnknownEventType) {
-				return nil // a newer server; skip frames we don't know
-			}
-			return fmt.Errorf("client: decoding session event: %w", perr)
-		}
+	err := c.follow(ctx, "/v1/sessions/"+id+"/stream", func(ev api.Event) (bool, bool) {
 		if fn != nil {
 			fn(ev)
 		}
 		switch ev.Type {
 		case api.EventSnapshot:
-			*st = ev.Snapshot.Clone()
+			st = ev.Snapshot.Clone()
 		case api.EventDiff:
 			st.Apply(*ev.Diff)
 		default:
 			// Heartbeats carry no id and no state; they only prove the
 			// stream is alive.
-			return nil
+			return false, false
 		}
-		if evID != "" {
-			*lastEventID = evID
+		if ev.Session == nil {
+			return true, false
 		}
-		progressed = true
-		if ev.Session != nil {
-			*sess = *ev.Session
-			if api.TerminalSessionState(ev.Session.State) {
-				return errStreamDone
-			}
-		}
-		return nil
+		sess = *ev.Session
+		return true, api.TerminalSessionState(sess.State)
 	})
-	switch {
-	case errors.Is(err, errStreamDone):
-		return progressed, nil
-	case err != nil:
-		return progressed, err
-	}
-	return progressed, io.ErrUnexpectedEOF
+	return st, sess, err
 }

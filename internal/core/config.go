@@ -20,7 +20,6 @@ import (
 	"repro/internal/regress"
 	"repro/internal/sim"
 	"repro/internal/task"
-	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
@@ -157,12 +156,6 @@ type Config struct {
 	// are unaffected by it, but every field still feeds the run
 	// fingerprint.
 	Policy policy.Config
-
-	// Telemetry, when non-nil, receives spans, metrics and forecast
-	// residuals from the run (see internal/telemetry). Nil — the default —
-	// disables collection; every instrumentation site degrades to a single
-	// nil check.
-	Telemetry *telemetry.Recorder
 }
 
 // Fault is one injected node crash. Duration 0 means the node never

@@ -61,9 +61,6 @@ func (ll *laneLinks) BroadcastItems(src, total int) {
 // assembled from the per-lane systems by order-insensitive metric sums
 // and stable time-ordered merges of records and events.
 func runLanes(ctx context.Context, cfg Config, alg Algorithm, setups []TaskSetup) (Result, error) {
-	if cfg.Telemetry.Enabled() {
-		return Result{}, fmt.Errorf("core: telemetry is not supported with Lanes ≥ 2 (per-lane recorders cannot be merged)")
-	}
 	lanes := cfg.Lanes
 	laneSize := cfg.NumNodes / lanes // Validate guarantees divisibility
 
@@ -137,7 +134,7 @@ func runLanes(ctx context.Context, cfg Config, alg Algorithm, setups []TaskSetup
 			sort.Slice(wins, func(i, j int) bool { return wins[i].Start < wins[j].Start })
 			lcfg.Network.Partitions = wins
 		}
-		sys, err := buildSystem(lcfg, alg, laneSetups[l], ls.Lane(l), laneFaults(faults, l, laneSize))
+		sys, err := buildSystem(lcfg, alg, laneSetups[l], ls.Lane(l), laneFaults(faults, l, laneSize), nil)
 		if err != nil {
 			return Result{}, err
 		}

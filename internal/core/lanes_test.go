@@ -8,7 +8,6 @@ import (
 	"repro/internal/dynbench"
 	"repro/internal/regress"
 	"repro/internal/sim"
-	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
@@ -211,12 +210,6 @@ func TestLaneConfigErrors(t *testing.T) {
 	cfg := laneTestConfigDefaultChaos(5, 0) // 48 % 5 != 0
 	if _, err := Run(cfg, Predictive, setups); err == nil {
 		t.Error("no error for non-dividing lane count")
-	}
-
-	cfg = laneTestConfigDefaultChaos(2, 0)
-	cfg.Telemetry = telemetry.New(telemetry.DefaultConfig())
-	if _, err := Run(cfg, Predictive, setups); err == nil {
-		t.Error("no error for telemetry with lanes")
 	}
 
 	cfg = laneTestConfigDefaultChaos(2, 0)

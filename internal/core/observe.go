@@ -5,37 +5,45 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 )
 
-// Observer samples the live state of a running simulation every Every
-// sim-time units. It is the substrate of rmserved's session mode: the
-// session layer turns each Observation into a wire snapshot/diff and
-// fans it out to SSE subscribers.
+// Observer is the probe attached to one run: a telemetry recorder, a
+// live sampler, or both. The sampler is the substrate of rmserved's
+// session mode: the session layer turns each Observation into a wire
+// snapshot/diff and fans it out to SSE subscribers. The recorder
+// collects spans, metrics and the eq. (3)/(5) forecast residuals (see
+// internal/telemetry).
 //
-// The hook is deliberately NOT a Config field. Config is what shapes a
+// The probe is deliberately NOT part of Config. Config is what shapes a
 // run's result and therefore what the content-addressed fingerprint
-// hashes; an observer watches a run without shaping it, so it is a
-// separate RunContext argument and can never split the run cache or
-// perturb a golden. A nil observer takes code paths byte-identical to
-// the pre-observer build.
+// hashes; a probe watches a run without shaping it, so it is a separate
+// RunContext argument and can never split the run cache or perturb a
+// golden. A nil observer takes code paths byte-identical to the
+// pre-observer build.
 type Observer struct {
-	// Every is the sampling cadence in sim time; must be > 0. Samples
-	// fire from t=Every up to the workload pattern horizon, plus one
-	// final observation after the engine drains.
+	// Telemetry, when non-nil, receives the run's spans, metrics and
+	// forecast residuals. Every instrumentation site degrades to a single
+	// nil check without it.
+	Telemetry *telemetry.Recorder
+	// Every is the sampling cadence in sim time; must be > 0 when
+	// OnSample is set. Samples fire from t=Every up to the workload
+	// pattern horizon, plus one final observation after the engine
+	// drains.
 	Every sim.Time
-	// OnSample receives each observation on the simulation goroutine.
-	// It may block (the session layer uses this for wall-clock pacing
-	// and pause), but must not call back into the engine or mutate
+	// OnSample, when non-nil, receives each observation on the simulation
+	// goroutine. It may block (the session layer uses this for wall-clock
+	// pacing and pause), but must not call back into the engine or mutate
 	// anything the run reads — the capture hands it copies only.
 	OnSample func(Observation)
 }
 
 func (o *Observer) validate() error {
-	if o.Every <= 0 {
+	switch {
+	case o.OnSample == nil && o.Telemetry == nil:
+		return fmt.Errorf("core: observer has neither a telemetry recorder nor an OnSample callback")
+	case o.OnSample != nil && o.Every <= 0:
 		return fmt.Errorf("core: observer cadence must be > 0 (got %v)", o.Every)
-	}
-	if o.OnSample == nil {
-		return fmt.Errorf("core: observer has no OnSample callback")
 	}
 	return nil
 }

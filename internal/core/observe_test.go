@@ -3,9 +3,11 @@ package core
 import (
 	"context"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
@@ -112,6 +114,7 @@ func TestObserverValidation(t *testing.T) {
 	cfg := DefaultConfig()
 	setups := []TaskSetup{benchSetup(workload.NewConstant(500, 2))}
 	cases := map[string]*Observer{
+		"empty":      {},
 		"no-cadence": {OnSample: func(Observation) {}},
 		"no-hook":    {Every: sim.Second},
 	}
@@ -120,10 +123,28 @@ func TestObserverValidation(t *testing.T) {
 			t.Errorf("%s: want an error", name)
 		}
 	}
-	lanes := cfg
-	lanes.Lanes = 2
-	ok := &Observer{Every: sim.Second, OnSample: func(Observation) {}}
-	if _, err := RunContext(context.Background(), lanes, Predictive, setups, ok); err == nil {
-		t.Error("lane-partitioned observed run should be rejected")
+}
+
+// TestObservedLanesRejected: RunContext refuses every kind of probe on a
+// lane-partitioned run, which a plain Run of the same spec accepts.
+func TestObservedLanesRejected(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Lanes = 2
+	setups := []TaskSetup{benchSetup(workload.NewConstant(500, 2)), benchSetup(workload.NewConstant(500, 2))}
+	setups[1].Spec.Name += "-2"
+	if _, err := Run(cfg, Predictive, setups); err != nil {
+		t.Fatalf("unobserved lane run: %v", err)
+	}
+	sample := func(Observation) {}
+	cases := map[string]*Observer{
+		"sampler":  {Every: sim.Second, OnSample: sample},
+		"recorder": {Telemetry: telemetry.New(telemetry.DefaultConfig())},
+		"both":     {Telemetry: telemetry.New(telemetry.DefaultConfig()), Every: sim.Second, OnSample: sample},
+	}
+	for name, o := range cases {
+		_, err := RunContext(context.Background(), cfg, Predictive, setups, o)
+		if err == nil || !strings.Contains(err.Error(), "lane partitioning") {
+			t.Errorf("%s: err = %v, want the lane refusal", name, err)
+		}
 	}
 }

@@ -183,13 +183,15 @@ const cancelCheckEvents = 4096
 // to the pre-context build.
 //
 // A nil obs means an unobserved run and keeps every code path
-// byte-identical to the pre-observer build. A non-nil obs.OnSample fires
-// every obs.Every sim-time units and once more after the engine drains
-// (Final set); results are identical to the unobserved run — sampling
-// reads state, it never writes it. Lane-partitioned runs (cfg.Lanes ≥ 2)
-// are not observable: state is sharded across engines mid-run, so there
-// is no coherent instant to sample.
+// byte-identical to the pre-observer build. A non-nil obs.Telemetry
+// records the run as it goes; a non-nil obs.OnSample fires every
+// obs.Every sim-time units and once more after the engine drains (Final
+// set). Results are identical to the unobserved run — probes read state,
+// they never write it. Lane-partitioned runs (cfg.Lanes ≥ 2) take no
+// probe of either kind: state is sharded across engines mid-run, so
+// there is no coherent instant to sample and no single recorder to feed.
 func RunContext(ctx context.Context, cfg Config, alg Algorithm, setups []TaskSetup, obs *Observer) (Result, error) {
+	var tel *telemetry.Recorder
 	if obs != nil {
 		if err := obs.validate(); err != nil {
 			return Result{}, err
@@ -197,6 +199,7 @@ func RunContext(ctx context.Context, cfg Config, alg Algorithm, setups []TaskSet
 		if cfg.Lanes >= 2 {
 			return Result{}, fmt.Errorf("core: observed runs do not support lane partitioning (Lanes=%d)", cfg.Lanes)
 		}
+		tel = obs.Telemetry
 	}
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
@@ -237,11 +240,11 @@ func RunContext(ctx context.Context, cfg Config, alg Algorithm, setups []TaskSet
 			cfg.Network.Partitions = wins
 		}
 	}
-	s, err := buildSystem(cfg, alg, setups, sim.NewEngine(), faults)
+	s, err := buildSystem(cfg, alg, setups, sim.NewEngine(), faults, tel)
 	if err != nil {
 		return Result{}, err
 	}
-	if obs != nil {
+	if obs != nil && obs.OnSample != nil {
 		// After the rest of construction, so every pre-existing event
 		// keeps its engine sequence number (see scheduleObservations).
 		s.scheduleObservations(obs, patternHorizon(setups))
@@ -267,7 +270,7 @@ func RunContext(ctx context.Context, cfg Config, alg Algorithm, setups []TaskSet
 		}
 	}
 	res := s.finish()
-	if obs != nil {
+	if obs != nil && obs.OnSample != nil {
 		final := s.captureObservation()
 		final.Final = true
 		final.Metrics = res.Metrics
@@ -280,9 +283,9 @@ func RunContext(ctx context.Context, cfg Config, alg Algorithm, setups []TaskSet
 // processors, meters, telemetry observers, the fault schedule, runtime
 // tasks, pre-scheduled period starts, and the synchronizer stop hook.
 // The caller has validated cfg/alg/setups and resolved the concrete
-// fault schedule. Construction order is load-bearing: it fixes the
-// engine's event sequence numbers, and therefore the run.
-func buildSystem(cfg Config, alg Algorithm, setups []TaskSetup, eng *sim.Engine, faults []Fault) (*system, error) {
+// fault schedule; tel may be nil. Construction order is load-bearing: it
+// fixes the engine's event sequence numbers, and therefore the run.
+func buildSystem(cfg Config, alg Algorithm, setups []TaskSetup, eng *sim.Engine, faults []Fault, tel *telemetry.Recorder) (*system, error) {
 	if cfg.Network.LossSeed == 0 {
 		// Loss draws derive from the run seed unless the caller pinned a
 		// separate stream; irrelevant (no RNG exists) on a reliable segment.
@@ -296,7 +299,7 @@ func buildSystem(cfg Config, alg Algorithm, setups []TaskSetup, eng *sim.Engine,
 		rng:       sim.NewRand(cfg.Seed, 0x5eed),
 		collector: metrics.NewCollector(float64(cfg.NumNodes)),
 		log:       trace.NewLog(),
-		tel:       cfg.Telemetry,
+		tel:       tel,
 	}
 	s.seg = network.NewSegment(s.eng, cfg.Network)
 	s.procs = make([]cpu.Scheduler, 0, cfg.NumNodes)
@@ -422,12 +425,10 @@ func (s *system) failNode(n int) {
 	s.collector.CountCrash()
 	s.openCrashes = append(s.openCrashes, s.eng.Now())
 	s.procs[n].Fail()
-	s.log.Adaptation(trace.AdaptationEvent{
+	s.logAdaptation(trace.AdaptationEvent{
 		At: s.eng.Now(), Period: int(s.eng.Now() / sim.Second), Task: "-",
 		Stage: -1, Kind: trace.ActionNodeDown, Procs: []int{n},
-	})
-	s.tel.RecordAdaptation(s.eng.Now(), "-", -1, int(s.eng.Now()/sim.Second),
-		string(trace.ActionNodeDown), int64(n))
+	}, int64(n))
 }
 
 // recoverNode brings a crashed node back empty.
@@ -441,12 +442,18 @@ func (s *system) recoverNode(n int) {
 	s.lastTransition = s.eng.Now()
 	s.collector.CountRecovery()
 	s.procs[n].Recover()
-	s.log.Adaptation(trace.AdaptationEvent{
+	s.logAdaptation(trace.AdaptationEvent{
 		At: s.eng.Now(), Period: int(s.eng.Now() / sim.Second), Task: "-",
 		Stage: -1, Kind: trace.ActionNodeUp, Procs: []int{n},
-	})
-	s.tel.RecordAdaptation(s.eng.Now(), "-", -1, int(s.eng.Now()/sim.Second),
-		string(trace.ActionNodeUp), int64(n))
+	}, int64(n))
+}
+
+// logAdaptation appends one adaptation to the run's event log and
+// mirrors it into the telemetry recorder, whose per-kind counter and
+// instant carry value: the count or processor the action concerns.
+func (s *system) logAdaptation(ev trace.AdaptationEvent, value int64) {
+	s.log.Adaptation(ev)
+	s.tel.RecordAdaptation(ev.At, ev.Task, ev.Stage, ev.Period, string(ev.Kind), value)
 }
 
 // repairPlacements is the fail-over step run at each monitoring cycle:
@@ -461,12 +468,10 @@ func (s *system) repairPlacements(rt *runtimeTask, c int) {
 			}
 			if rt.dep.RemoveProcessor(stage, proc) {
 				s.collector.CountShutdown()
-				s.log.Adaptation(trace.AdaptationEvent{
+				s.logAdaptation(trace.AdaptationEvent{
 					At: s.eng.Now(), Period: c, Task: rt.setup.Spec.Name, Stage: stage,
 					Kind: trace.ActionFailover, Procs: []int{proc},
-				})
-				s.tel.RecordAdaptation(s.eng.Now(), rt.setup.Spec.Name, stage, c,
-					string(trace.ActionFailover), int64(proc))
+				}, int64(proc))
 				continue
 			}
 			// Sole replica: relocate to the least-utilized live node
@@ -484,12 +489,10 @@ func (s *system) repairPlacements(rt *runtimeTask, c int) {
 				continue // no live node available; the stage stays dark
 			}
 			if err := rt.dep.ReplaceProcessor(stage, proc, best); err == nil {
-				s.log.Adaptation(trace.AdaptationEvent{
+				s.logAdaptation(trace.AdaptationEvent{
 					At: s.eng.Now(), Period: c, Task: rt.setup.Spec.Name, Stage: stage,
 					Kind: trace.ActionFailover, Procs: []int{proc, best},
-				})
-				s.tel.RecordAdaptation(s.eng.Now(), rt.setup.Spec.Name, stage, c,
-					string(trace.ActionFailover), int64(best))
+				}, int64(best))
 			}
 		}
 	}
@@ -727,12 +730,10 @@ func (s *system) runPeriod(rt *runtimeTask, c int) {
 		if dec.Skip {
 			skip = true
 			s.collector.CountStretchedPeriod()
-			s.log.Adaptation(trace.AdaptationEvent{
+			s.logAdaptation(trace.AdaptationEvent{
 				At: s.eng.Now(), Period: c, Task: rt.setup.Spec.Name, Stage: -1,
 				Kind: trace.ActionStretch,
-			})
-			s.tel.RecordAdaptation(s.eng.Now(), rt.setup.Spec.Name, -1, c,
-				string(trace.ActionStretch), 1)
+			}, 1)
 		} else {
 			launchItems = dec.LaunchItems
 			if launchItems > items {
@@ -743,12 +744,10 @@ func (s *system) runPeriod(rt *runtimeTask, c int) {
 			}
 			if shed := items - launchItems; shed > 0 {
 				s.collector.CountShedItems(shed)
-				s.log.Adaptation(trace.AdaptationEvent{
+				s.logAdaptation(trace.AdaptationEvent{
 					At: s.eng.Now(), Period: c, Task: rt.setup.Spec.Name, Stage: -1,
 					Kind: trace.ActionShed,
-				})
-				s.tel.RecordAdaptation(s.eng.Now(), rt.setup.Spec.Name, -1, c,
-					string(trace.ActionShed), int64(shed))
+				}, int64(shed))
 			}
 		}
 	}
@@ -835,21 +834,17 @@ func (s *system) adapt(rt *runtimeTask, c, items int, analysis monitor.Analysis)
 		if added > 0 {
 			changed = true
 			s.collector.CountReplications(added)
-			s.log.Adaptation(trace.AdaptationEvent{
+			s.logAdaptation(trace.AdaptationEvent{
 				At: s.eng.Now(), Period: c, Task: rt.setup.Spec.Name, Stage: stage,
 				Kind: trace.ActionReplicate, Procs: newProcs(before, rt.dep.Replicas(stage)),
-			})
-			s.tel.RecordAdaptation(s.eng.Now(), rt.setup.Spec.Name, stage, c,
-				string(trace.ActionReplicate), int64(added))
+			}, int64(added))
 		}
 		if !ok {
 			s.collector.CountAllocFailure()
-			s.log.Adaptation(trace.AdaptationEvent{
+			s.logAdaptation(trace.AdaptationEvent{
 				At: s.eng.Now(), Period: c, Task: rt.setup.Spec.Name, Stage: stage,
 				Kind: trace.ActionAllocFailure,
-			})
-			s.tel.RecordAdaptation(s.eng.Now(), rt.setup.Spec.Name, stage, c,
-				string(trace.ActionAllocFailure), 0)
+			}, 0)
 		}
 	}
 	for _, stage := range analysis.Shutdown {
@@ -860,12 +855,10 @@ func (s *system) adapt(rt *runtimeTask, c, items int, analysis monitor.Analysis)
 		if proc, ok := manager.ShutDownAReplica(rt.dep, stage); ok {
 			changed = true
 			s.collector.CountShutdown()
-			s.log.Adaptation(trace.AdaptationEvent{
+			s.logAdaptation(trace.AdaptationEvent{
 				At: s.eng.Now(), Period: c, Task: rt.setup.Spec.Name, Stage: stage,
 				Kind: trace.ActionShutdown, Procs: []int{proc},
-			})
-			s.tel.RecordAdaptation(s.eng.Now(), rt.setup.Spec.Name, stage, c,
-				string(trace.ActionShutdown), int64(proc))
+			}, int64(proc))
 		}
 	}
 	if changed {

@@ -2,10 +2,13 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
@@ -14,21 +17,35 @@ import (
 func runWithTelemetry(t *testing.T, alg Algorithm, pattern workload.Pattern, clockSync bool) *telemetry.Recorder {
 	t.Helper()
 	cfg := DefaultConfig()
-	cfg.Telemetry = telemetry.New(telemetry.DefaultConfig())
 	cfg.ClockSync = clockSync
-	if _, err := Run(cfg, alg, []TaskSetup{benchSetup(pattern)}); err != nil {
+	rec := telemetry.New(telemetry.DefaultConfig())
+	if _, err := RunContext(context.Background(), cfg, alg, []TaskSetup{benchSetup(pattern)}, &Observer{Telemetry: rec}); err != nil {
 		t.Fatal(err)
 	}
-	return cfg.Telemetry
+	return rec
 }
 
+// TestTelemetryDisabledByDefault: a recorder reaches a run only through
+// the RunContext probe. Config — what the run fingerprint hashes — has
+// no pointer, interface, func, map or channel anywhere in its type tree,
+// so no Config can carry one, and Run (which passes no probe) is always
+// unrecorded.
 func TestTelemetryDisabledByDefault(t *testing.T) {
-	// The zero Config carries no recorder; a run without one must behave
-	// identically to the seed behaviour (covered by the rest of the suite)
-	// and never touch telemetry. This just pins the nil default.
-	if DefaultConfig().Telemetry.Enabled() {
-		t.Error("DefaultConfig carries an enabled recorder")
+	var walk func(typ reflect.Type, path string)
+	walk = func(typ reflect.Type, path string) {
+		switch typ.Kind() {
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				f := typ.Field(i)
+				walk(f.Type, path+"."+f.Name)
+			}
+		case reflect.Slice, reflect.Array:
+			walk(typ.Elem(), path+"[]")
+		case reflect.Pointer, reflect.Interface, reflect.Func, reflect.Map, reflect.Chan:
+			t.Errorf("%s is a %v: Config must stay a plain value so it is exactly a run's identity", path, typ.Kind())
+		}
 	}
+	walk(reflect.TypeOf(Config{}), "Config")
 }
 
 func TestTelemetryCapturesRun(t *testing.T) {
@@ -164,20 +181,44 @@ func TestTelemetryExportersOnRealRun(t *testing.T) {
 }
 
 func TestTelemetryRunIdenticalResults(t *testing.T) {
-	// Attaching a recorder must not perturb the simulation itself.
-	pattern := workload.NewTriangular(500, 3000, 30, 2)
-	plain, err := Run(DefaultConfig(), Predictive, []TaskSetup{benchSetup(pattern)})
-	if err != nil {
-		t.Fatal(err)
+	// Attaching a recorder must not perturb the simulation itself: every
+	// field of the Result — metrics, period records, adaptation events,
+	// engine event count, clock offset — must match the run without it.
+	// The sampler case compares against a sampler-only run, because the
+	// sample events themselves count in EventsFired.
+	setups := []TaskSetup{benchSetup(workload.NewTriangular(500, 3000, 30, 2))}
+	sample := func(Observation) {}
+	cases := map[string]struct{ base, probe *Observer }{
+		"recorder": {
+			base:  nil,
+			probe: &Observer{Telemetry: telemetry.New(telemetry.DefaultConfig())},
+		},
+		"recorder+sampler": {
+			base:  &Observer{Every: sim.Second, OnSample: sample},
+			probe: &Observer{Telemetry: telemetry.New(telemetry.DefaultConfig()), Every: sim.Second, OnSample: sample},
+		},
 	}
-	cfg := DefaultConfig()
-	cfg.Telemetry = telemetry.New(telemetry.DefaultConfig())
-	instrumented, err := Run(cfg, Predictive, []TaskSetup{benchSetup(pattern)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.Metrics != instrumented.Metrics {
-		t.Errorf("telemetry changed run results:\nplain        %+v\ninstrumented %+v",
-			plain.Metrics, instrumented.Metrics)
+	for name, tc := range cases {
+		want, err := RunContext(context.Background(), DefaultConfig(), Predictive, setups, tc.base)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(want.Events) == 0 {
+			t.Fatalf("%s: baseline run has no adaptation events; the comparison would be vacuous", name)
+		}
+		got, err := RunContext(context.Background(), DefaultConfig(), Predictive, setups, tc.probe)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Errorf("%s: telemetry changed the run result:\n"+
+				"without %+v, %d records, %d events, %d fired\n"+
+				"with    %+v, %d records, %d events, %d fired", name,
+				want.Metrics, len(want.Records), len(want.Events), want.EventsFired,
+				got.Metrics, len(got.Records), len(got.Events), got.EventsFired)
+		}
+		if tc.probe.Telemetry.Snapshot().Counters[`rm_adaptations_total{kind="replicate"}`] == 0 {
+			t.Errorf("%s: recorder saw no replications", name)
+		}
 	}
 }

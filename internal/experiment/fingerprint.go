@@ -25,7 +25,12 @@ import (
 // v4: core.Config gained the lane partition (Lanes, which shapes
 // results and enters the fingerprint) and the Parallel worker knob
 // (byte-identical results for every value, excluded below).
-const cacheSchema = 4
+//
+// v5: core.Config lost its Telemetry field (the recorder moved onto the
+// core.Observer probe), so the %#v dump below — and with it every key —
+// changed once. Results did not: stale disk entries miss and
+// re-simulate, and no committed fixture pins a real key.
+const cacheSchema = 5
 
 // demandProbeSizes are the item counts at which each subtask's demand
 // curve is sampled into the fingerprint. Demand functions are closures,
@@ -36,9 +41,8 @@ var demandProbeSizes = [...]int{100, 1700, 4900}
 
 // RunKey content-addresses one simulation run: the SHA-256 of a
 // canonical description of everything that determines its result — the
-// schema version, the algorithm, the full config (seed included, the
-// telemetry recorder excluded: it observes a run, it does not shape one)
-// and, per task, the spec identity, demand-curve probes, placement,
+// schema version, the algorithm, the full config (seed included) and,
+// per task, the spec identity, demand-curve probes, placement,
 // workload pattern, and fitted regression models. The hex digest doubles
 // as the scheduler's dedup key and the disk cache's file name; the
 // rmserved daemon stamps it on jobs and journal records so clients can
@@ -47,7 +51,6 @@ var demandProbeSizes = [...]int{100, 1700, 4900}
 // use it to assert that two run descriptions do or do not alias.
 func RunKey(cfg core.Config, alg core.Algorithm, setups []core.TaskSetup) string {
 	var b strings.Builder
-	cfg.Telemetry = nil
 	// The lane *partition* shapes results (Lanes stays in the %#v dump);
 	// the worker count driving the lanes does not — serial and parallel
 	// drivers are byte-identical by construction — so Parallel must not

@@ -71,9 +71,6 @@ func TestFingerprintCoversEveryConfigField(t *testing.T) {
 				if !mutateLeaf(target) {
 					t.Errorf("field %s: slice element kind %v not mutable", name, target.Kind())
 				}
-			case reflect.Ptr, reflect.Interface:
-				// Telemetry — deliberately excluded, checked separately.
-				continue
 			default:
 				if !mutateLeaf(f) {
 					t.Errorf("field %s: kind %v not handled by the coverage walker", name, f.Kind())
@@ -98,8 +95,6 @@ func TestFingerprintCoversEveryConfigField(t *testing.T) {
 			switch f.Kind() {
 			case reflect.Struct:
 				collect(f, name+".")
-			case reflect.Ptr, reflect.Interface:
-				continue
 			default:
 				if name == "Parallel" {
 					// Worker count: results are byte-identical for every
@@ -161,23 +156,6 @@ func TestFingerprintCoversEveryConfigField(t *testing.T) {
 	// Sanity-check the walker itself: walk must not find unhandled kinds.
 	probe := core.DefaultConfig()
 	walk(t, reflect.ValueOf(&probe).Elem(), "")
-}
-
-// The telemetry recorder observes a run without shaping it, and recorders
-// are never comparable across processes: it must NOT enter the
-// fingerprint, or warm-cache runs with telemetry wired would never hit.
-func TestFingerprintExcludesTelemetry(t *testing.T) {
-	setup, err := BenchmarkSetup(TriangularFactory(4 * WorkloadUnit))
-	if err != nil {
-		t.Fatal(err)
-	}
-	setups := []core.TaskSetup{setup}
-	base := core.DefaultConfig()
-	with := base
-	with.Telemetry = nil // ScheduledRun forbids non-nil; simulate the field changing identity
-	if RunKey(base, core.Predictive, setups) != RunKey(with, core.Predictive, setups) {
-		t.Error("telemetry field altered the fingerprint")
-	}
 }
 
 // The parallel worker count trades wall-clock only — lane results are

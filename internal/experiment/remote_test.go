@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/api"
 	"repro/internal/core"
-	"repro/internal/telemetry"
 )
 
 // TestEncodeRunRequestRoundTrip: an ordinary benchmark run is
@@ -47,12 +46,6 @@ func TestEncodeRunRequestRejectsInexpressible(t *testing.T) {
 	homed.Homes = []int{0}
 	if _, ok := EncodeRunRequest(cfg, core.Predictive, []core.TaskSetup{homed}); ok {
 		t.Error("explicit home placements should not be expressible")
-	}
-
-	telcfg := cfg
-	telcfg.Telemetry = telemetry.New(telemetry.DefaultConfig())
-	if _, ok := EncodeRunRequest(telcfg, core.Predictive, []core.TaskSetup{setup}); ok {
-		t.Error("telemetry-carrying configs should not be expressible")
 	}
 
 	if _, ok := EncodeRunRequest(cfg, core.Predictive, []core.TaskSetup{setup, setup}); ok {

@@ -3,7 +3,6 @@ package experiment
 import (
 	"context"
 	"errors"
-	"fmt"
 	"runtime"
 	"sync"
 	"time"
@@ -199,13 +198,8 @@ func SchedulerStats() SchedulerCounters {
 // algorithm and setups by content — execute once and share the outcome.
 // When ctx is done the caller unblocks with ctx.Err(), and the underlying
 // cell — shared with any identical concurrent request — is cancelled once
-// every requester has abandoned it. cfg.Telemetry must be nil: an
-// attached recorder is a per-run side effect that neither dedup nor the
-// cache can replay.
+// every requester has abandoned it.
 func ScheduledRun(ctx context.Context, cfg core.Config, alg core.Algorithm, setups []core.TaskSetup) (RunOutcome, error) {
-	if cfg.Telemetry != nil {
-		return RunOutcome{}, fmt.Errorf("experiment: scheduled runs cannot carry a telemetry recorder")
-	}
 	return sched.submit(cfg, alg, setups).waitCtx(ctx, sched)
 }
 

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/telemetry"
 )
 
 // statsDelta runs f and returns how much each scheduler counter moved.
@@ -99,20 +98,6 @@ func TestSchedulerDedupsOverlappingSweeps(t *testing.T) {
 	}
 	if second.Simulated != 4 {
 		t.Errorf("warm sweep simulated %d, want 4 (point 12 only)", second.Simulated)
-	}
-}
-
-// TestScheduledRunRejectsTelemetry pins the scheduler's one exclusion: a
-// run carrying a live recorder cannot be deduplicated or cache-served.
-func TestScheduledRunRejectsTelemetry(t *testing.T) {
-	setup, err := BenchmarkSetup(TriangularFactory(4 * WorkloadUnit))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := core.DefaultConfig()
-	cfg.Telemetry = telemetry.New(telemetry.DefaultConfig())
-	if _, err := ScheduledRun(context.Background(), cfg, core.Predictive, []core.TaskSetup{setup}); err == nil {
-		t.Error("telemetry-carrying run accepted by the scheduler")
 	}
 }
 

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/core"
@@ -37,16 +38,16 @@ func runExtTelemetry(ctx Context) (Output, error) {
 	if err != nil {
 		return Output{}, err
 	}
-	cfg := core.DefaultConfig()
-	cfg.Telemetry = telemetry.New(telemetry.DefaultConfig())
+	rec := telemetry.New(telemetry.DefaultConfig())
 	// Deliberately not ScheduledRun: the attached recorder is a per-run
 	// side effect the tables below read back, so a deduplicated or
 	// cache-served run would leave it empty. This stays the one batch
 	// experiment that simulates outside the shared scheduler.
-	if _, err := core.Run(cfg, core.Predictive, []core.TaskSetup{setup}); err != nil {
+	if _, err := core.RunContext(context.Background(), core.DefaultConfig(), core.Predictive,
+		[]core.TaskSetup{setup}, &core.Observer{Telemetry: rec}); err != nil {
 		return Output{}, err
 	}
-	snap := cfg.Telemetry.Snapshot()
+	snap := rec.Snapshot()
 
 	mape := map[int]telemetry.SeriesSnapshot{}
 	for _, fs := range snap.Forecast {

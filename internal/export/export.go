@@ -31,16 +31,31 @@ type Summary struct {
 	UnfinishedWork int     `json:"unfinished"`
 }
 
-// Period, Stage and Event alias the canonical JSON shapes owned by the
-// trace package, so this package and Log.WriteJSON cannot drift apart.
-type (
-	// Period is the JSON shape of one completed instance.
-	Period = trace.PeriodJSON
-	// Stage is one stage's observation within a period.
-	Stage = trace.StageJSON
-	// Event is the JSON shape of one adaptation action.
-	Event = trace.EventJSON
-)
+// Period is the JSON shape of one completed instance.
+type Period struct {
+	Period    int     `json:"period"`
+	Items     int     `json:"items"`
+	LatencyMS float64 `json:"latency_ms"`
+	Missed    bool    `json:"missed"`
+	Stages    []Stage `json:"stages"`
+}
+
+// Stage is one stage's observation within a period.
+type Stage struct {
+	ExecMS   float64 `json:"exec_ms"`
+	CommMS   float64 `json:"comm_ms"`
+	Replicas int     `json:"replicas"`
+}
+
+// Event is the JSON shape of one adaptation action.
+type Event struct {
+	AtMS   float64 `json:"at_ms"`
+	Period int     `json:"period"`
+	Task   string  `json:"task"`
+	Stage  int     `json:"stage"`
+	Kind   string  `json:"kind"`
+	Procs  []int   `json:"procs,omitempty"`
+}
 
 // Run is a full run export.
 type Run struct {
@@ -69,10 +84,34 @@ func FromMetrics(m metrics.RunMetrics) Summary {
 }
 
 // FromRecord converts one period record.
-func FromRecord(r *task.PeriodRecord) Period { return trace.PeriodToJSON(r) }
+func FromRecord(r *task.PeriodRecord) Period {
+	p := Period{
+		Period:    r.Period,
+		Items:     r.Items,
+		LatencyMS: r.EndToEnd().Milliseconds(),
+		Missed:    r.Missed(),
+	}
+	for _, st := range r.Stages {
+		p.Stages = append(p.Stages, Stage{
+			ExecMS:   st.ExecLatency().Milliseconds(),
+			CommMS:   st.CommLatency().Milliseconds(),
+			Replicas: st.Replicas,
+		})
+	}
+	return p
+}
 
 // FromEvent converts one adaptation event.
-func FromEvent(e trace.AdaptationEvent) Event { return trace.EventToJSON(e) }
+func FromEvent(e trace.AdaptationEvent) Event {
+	return Event{
+		AtMS:   e.At.Milliseconds(),
+		Period: e.Period,
+		Task:   e.Task,
+		Stage:  e.Stage,
+		Kind:   string(e.Kind),
+		Procs:  e.Procs,
+	}
+}
 
 // FromResult converts a full run. Periods and events are included when
 // the corresponding flags are true.

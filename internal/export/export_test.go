@@ -83,3 +83,52 @@ func TestWriteJSONRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestFromResultConvertsRecordsAndEvents pins the derived values of the
+// period and event converters: they must agree with the per-period CSV
+// (latency, stage exec/comm split, replica count), and an event without
+// processors must leave "procs" out of the JSON entirely.
+func TestFromResultConvertsRecordsAndEvents(t *testing.T) {
+	res := core.Result{
+		Records: []*task.PeriodRecord{{
+			Period: 0, Items: 50,
+			ReleasedAt: 0, CompletedAt: 400 * sim.Millisecond,
+			Deadline: sim.Second,
+			Stages: []task.StageObservation{
+				{ReadyAt: 0, DoneAt: 300 * sim.Millisecond, DeliveredAt: 350 * sim.Millisecond, Replicas: 1},
+				{ReadyAt: 350 * sim.Millisecond, DoneAt: 400 * sim.Millisecond, DeliveredAt: 400 * sim.Millisecond, Replicas: 2},
+			},
+		}},
+		Events: []trace.AdaptationEvent{
+			{At: 2 * sim.Second, Period: 2, Task: "aaw", Stage: 1, Kind: trace.ActionReplicate, Procs: []int{3}},
+			{At: 3 * sim.Second, Period: 3, Task: "aaw", Stage: 1, Kind: trace.ActionAllocFailure},
+		},
+	}
+	var b strings.Builder
+	if err := WriteJSON(&b, FromResult(res, true, true)); err != nil {
+		t.Fatal(err)
+	}
+	var back Run
+	if err := json.Unmarshal([]byte(b.String()), &back); err != nil {
+		t.Fatal(err)
+	}
+	r0 := back.Periods[0]
+	if r0.LatencyMS != 400 {
+		t.Errorf("latency_ms = %v, want 400", r0.LatencyMS)
+	}
+	if r0.Missed {
+		t.Error("record 0 marked missed; completed well before its deadline")
+	}
+	if got := r0.Stages[0]; got.ExecMS != 300 || got.CommMS != 50 || got.Replicas != 1 {
+		t.Errorf("stage 0 = %+v, want exec 300ms, comm 50ms, 1 replica", got)
+	}
+	if e := back.Events[0]; e.AtMS != 2000 || e.Kind != "replicate" || len(e.Procs) != 1 {
+		t.Errorf("event 0 = %+v", e)
+	}
+	if e := back.Events[1]; e.Procs != nil {
+		t.Errorf("event without procs round-tripped as %v, want nil", e.Procs)
+	}
+	if n := strings.Count(b.String(), `"procs"`); n != 1 {
+		t.Errorf(`"procs" appears %d times, want once (omitempty on the event without processors)`, n)
+	}
+}

@@ -50,12 +50,6 @@ type Hub struct {
 }
 
 func newHub(replayWindow, defaultBuffer int) *Hub {
-	if replayWindow <= 0 {
-		replayWindow = 1024
-	}
-	if defaultBuffer <= 0 {
-		defaultBuffer = 256
-	}
 	return &Hub{
 		replay:        make([]api.Event, replayWindow),
 		subs:          make(map[*Subscriber]struct{}),

@@ -22,7 +22,9 @@ var (
 	ErrNotFound = errors.New("session: no such session")
 )
 
-// Defaults applied by the Manager when a knob is zero.
+// Defaults applied by the Manager when a knob (a Config field or a
+// session request field) is zero. DefaultReplayWindow is fixed: every
+// session keeps that many recent events for Last-Event-ID resume.
 const (
 	DefaultMaxSessions  = 16
 	DefaultSampleMS     = 500
@@ -36,12 +38,6 @@ const (
 type Config struct {
 	// MaxSessions caps concurrently live (non-terminal) sessions.
 	MaxSessions int
-	// DefaultBuffer is the per-subscriber ring capacity when the session
-	// request does not override it.
-	DefaultBuffer int
-	// ReplayWindow is how many recent events each session keeps for
-	// Last-Event-ID resume.
-	ReplayWindow int
 	// NowMS supplies wall-clock milliseconds; tests override it.
 	NowMS func() int64
 }
@@ -65,12 +61,6 @@ type Manager struct {
 func NewManager(cfg Config) *Manager {
 	if cfg.MaxSessions <= 0 {
 		cfg.MaxSessions = DefaultMaxSessions
-	}
-	if cfg.DefaultBuffer <= 0 {
-		cfg.DefaultBuffer = DefaultBufferEvents
-	}
-	if cfg.ReplayWindow <= 0 {
-		cfg.ReplayWindow = DefaultReplayWindow
 	}
 	if cfg.NowMS == nil {
 		cfg.NowMS = func() int64 { return time.Now().UnixMilli() }
@@ -103,7 +93,7 @@ func (m *Manager) Create(req api.SessionRequest) (*Session, error) {
 	}
 	buffer := req.Buffer
 	if buffer <= 0 {
-		buffer = m.cfg.DefaultBuffer
+		buffer = DefaultBufferEvents
 	}
 	var minGap time.Duration
 	if req.MaxRateHz > 0 {
@@ -130,7 +120,7 @@ func (m *Manager) Create(req api.SessionRequest) (*Session, error) {
 		minGap:    minGap,
 		heartbeat: time.Duration(heartbeatMS) * time.Millisecond,
 		buffer:    buffer,
-		hub:       newHub(m.cfg.ReplayWindow, m.cfg.DefaultBuffer),
+		hub:       newHub(DefaultReplayWindow, DefaultBufferEvents),
 		ctx:       ctx,
 		cancel:    cancel,
 		simCtx:    simCtx,

@@ -1,6 +1,7 @@
 // Package trace records what an adaptive run did: one row per completed
-// period and one event per adaptation action, exportable as CSV for
-// inspection and plotting.
+// period and one event per adaptation action. The period rows are
+// exportable as CSV for inspection and plotting; internal/export owns
+// the JSON form of both.
 package trace
 
 import (
@@ -75,21 +76,6 @@ func (l *Log) WriteRecordsCSV(w io.Writer) error {
 			r.Period, r.Items,
 			r.ReleasedAt.Milliseconds(), r.CompletedAt.Milliseconds(),
 			r.EndToEnd().Milliseconds(), r.Missed())
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// WriteEventsCSV emits one row per adaptation event.
-func (l *Log) WriteEventsCSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "time_ms,period,task,stage,action,procs"); err != nil {
-		return err
-	}
-	for _, e := range l.events {
-		_, err := fmt.Fprintf(w, "%.3f,%d,%s,%d,%s,%v\n",
-			e.At.Milliseconds(), e.Period, e.Task, e.Stage, e.Kind, e.Procs)
 		if err != nil {
 			return err
 		}

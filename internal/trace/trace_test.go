@@ -41,17 +41,3 @@ func TestWriteRecordsCSV(t *testing.T) {
 		t.Errorf("row wrong: %q", out)
 	}
 }
-
-func TestWriteEventsCSV(t *testing.T) {
-	l := NewLog()
-	l.Adaptation(AdaptationEvent{At: 1500 * sim.Millisecond, Period: 1, Task: "AAW",
-		Stage: 4, Kind: ActionAllocFailure})
-	var b strings.Builder
-	if err := l.WriteEventsCSV(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	if !strings.Contains(out, "1500.000,1,AAW,4,alloc-failure,[]") {
-		t.Errorf("row wrong: %q", out)
-	}
-}
