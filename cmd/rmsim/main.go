@@ -142,7 +142,7 @@ func main() {
 	}
 	var probe *core.Observer
 	if *telOut != "" || *chrome != "" || *httpAddr != "" {
-		probe = &core.Observer{Telemetry: telemetry.New(telemetry.DefaultConfig())}
+		probe = &core.Observer{Telemetry: telemetry.New()}
 	}
 	setups := []core.TaskSetup{setup}
 	if *lanes >= 2 {

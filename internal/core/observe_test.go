@@ -138,8 +138,8 @@ func TestObservedLanesRejected(t *testing.T) {
 	sample := func(Observation) {}
 	cases := map[string]*Observer{
 		"sampler":  {Every: sim.Second, OnSample: sample},
-		"recorder": {Telemetry: telemetry.New(telemetry.DefaultConfig())},
-		"both":     {Telemetry: telemetry.New(telemetry.DefaultConfig()), Every: sim.Second, OnSample: sample},
+		"recorder": {Telemetry: telemetry.New()},
+		"both":     {Telemetry: telemetry.New(), Every: sim.Second, OnSample: sample},
 	}
 	for name, o := range cases {
 		_, err := RunContext(context.Background(), cfg, Predictive, setups, o)

@@ -18,7 +18,7 @@ func runWithTelemetry(t *testing.T, alg Algorithm, pattern workload.Pattern, clo
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.ClockSync = clockSync
-	rec := telemetry.New(telemetry.DefaultConfig())
+	rec := telemetry.New()
 	if _, err := RunContext(context.Background(), cfg, alg, []TaskSetup{benchSetup(pattern)}, &Observer{Telemetry: rec}); err != nil {
 		t.Fatal(err)
 	}
@@ -191,11 +191,11 @@ func TestTelemetryRunIdenticalResults(t *testing.T) {
 	cases := map[string]struct{ base, probe *Observer }{
 		"recorder": {
 			base:  nil,
-			probe: &Observer{Telemetry: telemetry.New(telemetry.DefaultConfig())},
+			probe: &Observer{Telemetry: telemetry.New()},
 		},
 		"recorder+sampler": {
 			base:  &Observer{Every: sim.Second, OnSample: sample},
-			probe: &Observer{Telemetry: telemetry.New(telemetry.DefaultConfig()), Every: sim.Second, OnSample: sample},
+			probe: &Observer{Telemetry: telemetry.New(), Every: sim.Second, OnSample: sample},
 		},
 	}
 	for name, tc := range cases {

@@ -89,3 +89,44 @@ func TestScheduledRunCancellation(t *testing.T) {
 		t.Errorf("re-request simulated %d cells, want 1 (cancelled cells must not be memoized)", d2.Simulated)
 	}
 }
+
+// TestBatchReleasesStakesOnError: a batch whose first cell fails returns
+// that error without consuming the rest, and releases its stake in every
+// later cell, so cells nobody else wants are cancelled instead of
+// simulating for no one.
+func TestBatchReleasesStakesOnError(t *testing.T) {
+	defer SetSimHook(nil)
+	const failSeed = 660101
+	detErr := errors.New("deterministic first-cell failure")
+	SetSimHook(func(cfg core.Config, alg core.Algorithm) error {
+		if cfg.Seed == failSeed {
+			return detErr
+		}
+		return nil
+	})
+	setups := []core.TaskSetup{longSetup(t)}
+	var b batch
+	for i := 0; i < 3; i++ {
+		cfg := core.DefaultConfig()
+		cfg.Seed = uint64(failSeed + i)
+		b.add(cfg, core.Predictive, setups, func(RunOutcome) {
+			t.Errorf("cell %d consumed after the batch failed", i)
+		})
+	}
+
+	before := SchedulerStats()
+	if err := b.run(context.Background(), 1); !errors.Is(err, detErr) {
+		t.Fatalf("batch returned %v, want the first cell's error", err)
+	}
+	// The two unconsumed cells resolve asynchronously: one mid-run, one
+	// still queued. Both must end cancelled, not simulated.
+	deadline := time.Now().Add(10 * time.Second)
+	for SchedulerStats().Cancelled < before.Cancelled+2 {
+		if time.Now().After(deadline) {
+			d := SchedulerStats()
+			t.Fatalf("cancelled %d, simulated %d cells after the failure; want 2 cancelled",
+				d.Cancelled-before.Cancelled, d.Simulated-before.Simulated-1)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}

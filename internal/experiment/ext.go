@@ -37,7 +37,7 @@ func runExtThreshold(ctx Context) (Output, error) {
 	if ctx.Quick {
 		points = []int{28, 40, 52}
 	}
-	results, err := Sweep(context.TODO(), points, IncreasingFactory, ctx.Parallelism, 1)
+	results, err := Sweep(context.Background(), points, IncreasingFactory, ctx.Parallelism, 1)
 	if err != nil {
 		return Output{}, err
 	}
@@ -76,110 +76,105 @@ func runExtMultitask(ctx Context) (Output, error) {
 				"now spans several tasks",
 		},
 	}
+	base, err := BenchmarkSetup(workload.NewTriangular(MinWorkload, maxW, SweepPeriods, 2))
+	if err != nil {
+		return Output{}, err
+	}
+	var b batch
 	for n := 1; n <= 3; n++ {
+		setups := make([]core.TaskSetup, n)
+		for i := range setups {
+			s := base
+			s.Spec.Name = fmt.Sprintf("AAW-%d", i+1)
+			s.Homes = make([]int, len(s.Spec.Subtasks))
+			for j := range s.Homes {
+				s.Homes[j] = (j + i*2) % 6
+			}
+			setups[i] = s
+		}
+		cfg := core.DefaultConfig()
+		cfg.Seed = uint64(1000 + n)
 		for _, alg := range []core.Algorithm{core.Predictive, core.NonPredictive} {
-			var setups []core.TaskSetup
-			for i := 0; i < n; i++ {
-				s, err := BenchmarkSetup(workload.NewTriangular(MinWorkload, maxW, SweepPeriods, 2))
-				if err != nil {
-					return Output{}, err
-				}
-				s.Spec.Name = fmt.Sprintf("AAW-%d", i+1)
-				homes := make([]int, len(s.Spec.Subtasks))
-				for j := range homes {
-					homes[j] = (j + i*2) % 6
-				}
-				s.Homes = homes
-				setups = append(setups, s)
-			}
-			cfg := core.DefaultConfig()
-			cfg.Seed = uint64(1000 + n)
-			out, err := ScheduledRun(context.TODO(), cfg, alg, setups)
-			if err != nil {
-				return Output{}, err
-			}
-			m := out.Metrics
-			t.AddRow(n, string(alg), m.MissedPct(), m.CPUUtilPct(), m.NetUtilPct(), m.MeanReplicas, m.Combined())
+			b.add(cfg, alg, setups, func(out RunOutcome) {
+				m := out.Metrics
+				t.AddRow(n, string(alg), m.MissedPct(), m.CPUUtilPct(), m.NetUtilPct(), m.MeanReplicas, m.Combined())
+			})
 		}
 	}
-	return Output{ID: "ext-multitask", Tables: []*Table{t}}, nil
+	return b.output(ctx, Output{ID: "ext-multitask", Tables: []*Table{t}})
 }
 
 func runExtSlack(ctx Context) (Output, error) {
-	const maxW = 24 * WorkloadUnit
+	setup, err := BenchmarkSetup(workload.NewTriangular(MinWorkload, 24*WorkloadUnit, SweepPeriods, 2))
+	if err != nil {
+		return Output{}, err
+	}
 	t := &Table{
 		Title:   "ext-slack — predictive algorithm with varying required slack (paper: 0.2)",
 		Columns: []string{"slack fraction", "MD%", "CPU%", "Net%", "replicas", "C"},
 	}
+	var b batch
 	for _, sl := range []float64{0.05, 0.1, 0.2, 0.3, 0.4} {
-		setup, err := BenchmarkSetup(workload.NewTriangular(MinWorkload, maxW, SweepPeriods, 2))
-		if err != nil {
-			return Output{}, err
-		}
 		cfg := core.DefaultConfig()
 		cfg.Monitor.SlackFraction = sl
 		if cfg.Monitor.HighSlackFraction <= sl {
 			cfg.Monitor.HighSlackFraction = sl + 0.3
 		}
-		out, err := ScheduledRun(context.TODO(), cfg, core.Predictive, []core.TaskSetup{setup})
-		if err != nil {
-			return Output{}, err
-		}
-		m := out.Metrics
-		t.AddRow(sl, m.MissedPct(), m.CPUUtilPct(), m.NetUtilPct(), m.MeanReplicas, m.Combined())
+		b.add(cfg, core.Predictive, []core.TaskSetup{setup}, func(out RunOutcome) {
+			m := out.Metrics
+			t.AddRow(sl, m.MissedPct(), m.CPUUtilPct(), m.NetUtilPct(), m.MeanReplicas, m.Combined())
+		})
 	}
-	return Output{ID: "ext-slack", Tables: []*Table{t}}, nil
+	return b.output(ctx, Output{ID: "ext-slack", Tables: []*Table{t}})
 }
 
 func runExtUT(ctx Context) (Output, error) {
-	const maxW = 24 * WorkloadUnit
+	setup, err := BenchmarkSetup(workload.NewTriangular(MinWorkload, 24*WorkloadUnit, SweepPeriods, 2))
+	if err != nil {
+		return Output{}, err
+	}
 	t := &Table{
 		Title:   "ext-ut — non-predictive algorithm with varying utilization threshold (Table 1: 0.2)",
 		Columns: []string{"UT", "MD%", "CPU%", "Net%", "replicas", "C"},
 	}
+	var b batch
 	for _, ut := range []float64{0.1, 0.2, 0.3, 0.4, 0.5} {
-		setup, err := BenchmarkSetup(workload.NewTriangular(MinWorkload, maxW, SweepPeriods, 2))
-		if err != nil {
-			return Output{}, err
-		}
 		cfg := core.DefaultConfig()
 		cfg.UtilThreshold = ut
-		out, err := ScheduledRun(context.TODO(), cfg, core.NonPredictive, []core.TaskSetup{setup})
-		if err != nil {
-			return Output{}, err
-		}
-		m := out.Metrics
-		t.AddRow(ut, m.MissedPct(), m.CPUUtilPct(), m.NetUtilPct(), m.MeanReplicas, m.Combined())
+		b.add(cfg, core.NonPredictive, []core.TaskSetup{setup}, func(out RunOutcome) {
+			m := out.Metrics
+			t.AddRow(ut, m.MissedPct(), m.CPUUtilPct(), m.NetUtilPct(), m.MeanReplicas, m.Combined())
+		})
 	}
-	return Output{ID: "ext-ut", Tables: []*Table{t}}, nil
+	return b.output(ctx, Output{ID: "ext-ut", Tables: []*Table{t}})
 }
 
 func runExtPatterns(ctx Context) (Output, error) {
 	const maxW = 24 * WorkloadUnit
-	patterns := []workload.Pattern{
-		workload.NewStep(MinWorkload, maxW, SweepPeriods, SweepPeriods/3),
-		workload.NewBurst(MinWorkload, maxW, SweepPeriods, 20, 5),
-		workload.NewSinusoid(MinWorkload, maxW, SweepPeriods, 3),
+	base, err := BenchmarkSetup(nil)
+	if err != nil {
+		return Output{}, err
 	}
 	t := &Table{
 		Title:   "ext-patterns — additional workload shapes at max workload 24 units",
 		Columns: []string{"pattern", "algorithm", "MD%", "CPU%", "Net%", "replicas", "C"},
 	}
-	for _, p := range patterns {
+	var b batch
+	for _, p := range []workload.Pattern{
+		workload.NewStep(MinWorkload, maxW, SweepPeriods, SweepPeriods/3),
+		workload.NewBurst(MinWorkload, maxW, SweepPeriods, 20, 5),
+		workload.NewSinusoid(MinWorkload, maxW, SweepPeriods, 3),
+	} {
+		setup := base
+		setup.Pattern = p
 		for _, alg := range []core.Algorithm{core.Predictive, core.NonPredictive} {
-			setup, err := BenchmarkSetup(p)
-			if err != nil {
-				return Output{}, err
-			}
-			out, err := ScheduledRun(context.TODO(), core.DefaultConfig(), alg, []core.TaskSetup{setup})
-			if err != nil {
-				return Output{}, err
-			}
-			m := out.Metrics
-			t.AddRow(p.Name(), string(alg), m.MissedPct(), m.CPUUtilPct(), m.NetUtilPct(), m.MeanReplicas, m.Combined())
+			b.add(core.DefaultConfig(), alg, []core.TaskSetup{setup}, func(out RunOutcome) {
+				m := out.Metrics
+				t.AddRow(p.Name(), string(alg), m.MissedPct(), m.CPUUtilPct(), m.NetUtilPct(), m.MeanReplicas, m.Combined())
+			})
 		}
 	}
-	return Output{ID: "ext-patterns", Tables: []*Table{t}}, nil
+	return b.output(ctx, Output{ID: "ext-patterns", Tables: []*Table{t}})
 }
 
 func init() {
@@ -189,6 +184,10 @@ func init() {
 }
 
 func runExtFaults(ctx Context) (Output, error) {
+	base, err := BenchmarkSetup(nil)
+	if err != nil {
+		return Output{}, err
+	}
 	t := &Table{
 		Title:   "ext-faults — two node crashes (node 2 @30s for 20s, node 4 @70s for 15s)",
 		Columns: []string{"max workload", "algorithm", "lost", "MD%", "failovers", "C"},
@@ -198,27 +197,23 @@ func runExtFaults(ctx Context) (Output, error) {
 				"(relocation needed); at high workload replication already provides survivors",
 		},
 	}
-	faults := []core.Fault{
+	cfg := core.DefaultConfig()
+	cfg.Faults = []core.Fault{
 		{Node: 2, At: 30200 * sim.Millisecond, Duration: 20 * sim.Second},
 		{Node: 4, At: 70200 * sim.Millisecond, Duration: 15 * sim.Second},
 	}
+	var b batch
 	for _, maxUnits := range []int{4, 16} {
+		setup := base
+		setup.Pattern = TriangularFactory(maxUnits * WorkloadUnit)
 		for _, alg := range []core.Algorithm{core.Predictive, core.NonPredictive} {
-			setup, err := BenchmarkSetup(TriangularFactory(maxUnits * WorkloadUnit))
-			if err != nil {
-				return Output{}, err
-			}
-			cfg := core.DefaultConfig()
-			cfg.Faults = faults
-			out, err := ScheduledRun(context.TODO(), cfg, alg, []core.TaskSetup{setup})
-			if err != nil {
-				return Output{}, err
-			}
-			m := out.Metrics
-			t.AddRow(maxUnits, string(alg), m.Periods-m.Completed, m.MissedPct(), out.Failovers, m.Combined())
+			b.add(cfg, alg, []core.TaskSetup{setup}, func(out RunOutcome) {
+				m := out.Metrics
+				t.AddRow(maxUnits, string(alg), m.Periods-m.Completed, m.MissedPct(), out.Failovers, m.Combined())
+			})
 		}
 	}
-	return Output{ID: "ext-faults", Tables: []*Table{t}}, nil
+	return b.output(ctx, Output{ID: "ext-faults", Tables: []*Table{t}})
 }
 
 func init() {
@@ -232,6 +227,10 @@ func runExtSeeds(ctx Context) (Output, error) {
 	if ctx.Quick {
 		seeds = 3
 	}
+	base, err := BenchmarkSetup(nil)
+	if err != nil {
+		return Output{}, err
+	}
 	t := &Table{
 		Title:   "ext-seeds — combined metric across seeds (triangular pattern)",
 		Columns: []string{"max workload", "algorithm", "C mean", "C sd", "min", "max"},
@@ -244,28 +243,33 @@ func runExtSeeds(ctx Context) (Output, error) {
 		Title:   "ext-seeds — is the predictive advantage larger than the noise?",
 		Columns: []string{"max workload", "mean advantage (C_np − C_p)", "pooled sd", "advantage/sd"},
 	}
-	for _, maxUnits := range []int{12, 20, 28} {
-		means := map[core.Algorithm][]float64{}
-		for _, alg := range []core.Algorithm{core.Predictive, core.NonPredictive} {
-			var cs []float64
-			for seed := 0; seed < seeds; seed++ {
-				setup, err := BenchmarkSetup(TriangularFactory(maxUnits * WorkloadUnit))
-				if err != nil {
-					return Output{}, err
-				}
+	units := []int{12, 20, 28}
+	algs := []core.Algorithm{core.Predictive, core.NonPredictive}
+	// cs[point][alg][seed] is one run's combined metric.
+	cs := make([][][]float64, len(units))
+	var b batch
+	for i, maxUnits := range units {
+		setup := base
+		setup.Pattern = TriangularFactory(maxUnits * WorkloadUnit)
+		cs[i] = make([][]float64, len(algs))
+		for a, alg := range algs {
+			cs[i][a] = make([]float64, seeds)
+			for seed := range cs[i][a] {
 				cfg := core.DefaultConfig()
 				cfg.Seed = uint64(7777 + seed*13)
-				out, err := ScheduledRun(context.TODO(), cfg, alg, []core.TaskSetup{setup})
-				if err != nil {
-					return Output{}, err
-				}
-				cs = append(cs, out.Metrics.Combined())
+				b.add(cfg, alg, []core.TaskSetup{setup}, func(out RunOutcome) { cs[i][a][seed] = out.Metrics.Combined() })
 			}
-			means[alg] = cs
-			s := stats.Summarize(cs)
+		}
+	}
+	if err := b.run(context.Background(), ctx.Parallelism); err != nil {
+		return Output{}, err
+	}
+	for i, maxUnits := range units {
+		for a, alg := range algs {
+			s := stats.Summarize(cs[i][a])
 			t.AddRow(maxUnits, string(alg), s.Mean, s.StdDev, s.Min, s.Max)
 		}
-		p, np := means[core.Predictive], means[core.NonPredictive]
+		p, np := cs[i][0], cs[i][1]
 		adv := stats.Mean(np) - stats.Mean(p)
 		pooled := math.Sqrt((stats.Variance(p) + stats.Variance(np)) / 2)
 		ratio := math.Inf(1)
@@ -288,7 +292,10 @@ func runExtAllocators(ctx Context) (Output, error) {
 	if ctx.Quick {
 		points = []int{8, 24}
 	}
-	algs := []core.Algorithm{core.Predictive, core.NonPredictive, core.Greedy, core.StaticMax}
+	base, err := BenchmarkSetup(nil)
+	if err != nil {
+		return Output{}, err
+	}
 	t := &Table{
 		Title:   "ext-allocators — triangular pattern, four policies",
 		Columns: []string{"max workload", "algorithm", "MD%", "CPU%", "Net%", "replicas", "C"},
@@ -296,21 +303,18 @@ func runExtAllocators(ctx Context) (Output, error) {
 			"greedy: one replica per trigger, no forecast; static-max: full replication up front, no adaptation",
 		},
 	}
+	var b batch
 	for _, p := range points {
-		for _, alg := range algs {
-			setup, err := BenchmarkSetup(TriangularFactory(p * WorkloadUnit))
-			if err != nil {
-				return Output{}, err
-			}
-			out, err := ScheduledRun(context.TODO(), core.DefaultConfig(), alg, []core.TaskSetup{setup})
-			if err != nil {
-				return Output{}, err
-			}
-			m := out.Metrics
-			t.AddRow(p, string(alg), m.MissedPct(), m.CPUUtilPct(), m.NetUtilPct(), m.MeanReplicas, m.Combined())
+		setup := base
+		setup.Pattern = TriangularFactory(p * WorkloadUnit)
+		for _, alg := range []core.Algorithm{core.Predictive, core.NonPredictive, core.Greedy, core.StaticMax} {
+			b.add(core.DefaultConfig(), alg, []core.TaskSetup{setup}, func(out RunOutcome) {
+				m := out.Metrics
+				t.AddRow(p, string(alg), m.MissedPct(), m.CPUUtilPct(), m.NetUtilPct(), m.MeanReplicas, m.Combined())
+			})
 		}
 	}
-	return Output{ID: "ext-allocators", Tables: []*Table{t}}, nil
+	return b.output(ctx, Output{ID: "ext-allocators", Tables: []*Table{t}})
 }
 
 func init() {
@@ -333,21 +337,20 @@ func runExtModels(ctx Context) (Output, error) {
 			"ground-truth: exact demand curves — a forecast oracle",
 		},
 	}
+	var b batch
 	for _, p := range points {
 		for _, source := range []ModelSource{SourceProfiled, SourcePaper, SourceGroundTruth} {
 			setup, err := SetupWithModels(TriangularFactory(p*WorkloadUnit), source)
 			if err != nil {
 				return Output{}, err
 			}
-			out, err := ScheduledRun(context.TODO(), core.DefaultConfig(), core.Predictive, []core.TaskSetup{setup})
-			if err != nil {
-				return Output{}, err
-			}
-			m := out.Metrics
-			t.AddRow(p, string(source), m.MissedPct(), m.CPUUtilPct(), m.NetUtilPct(), m.MeanReplicas, m.Combined())
+			b.add(core.DefaultConfig(), core.Predictive, []core.TaskSetup{setup}, func(out RunOutcome) {
+				m := out.Metrics
+				t.AddRow(p, string(source), m.MissedPct(), m.CPUUtilPct(), m.NetUtilPct(), m.MeanReplicas, m.Combined())
+			})
 		}
 	}
-	return Output{ID: "ext-models", Tables: []*Table{t}}, nil
+	return b.output(ctx, Output{ID: "ext-models", Tables: []*Table{t}})
 }
 
 func init() {
@@ -360,7 +363,10 @@ func init() {
 }
 
 func runExtOverlap(ctx Context) (Output, error) {
-	const maxW = 24 * WorkloadUnit
+	setup, err := BenchmarkSetup(TriangularFactory(24 * WorkloadUnit))
+	if err != nil {
+		return Output{}, err
+	}
 	t := &Table{
 		Title:   "ext-overlap — halo fraction sweep (triangular, both algorithms)",
 		Columns: []string{"overlap", "algorithm", "MD%", "CPU%", "Net%", "replicas", "C"},
@@ -369,48 +375,41 @@ func runExtOverlap(ctx Context) (Output, error) {
 				"(default 0.10); it is the marginal cost of each extra replica",
 		},
 	}
+	var b batch
 	for _, overlap := range []float64{0, 0.05, 0.10, 0.20} {
+		cfg := core.DefaultConfig()
+		cfg.OverlapFraction = overlap
 		for _, alg := range []core.Algorithm{core.Predictive, core.NonPredictive} {
-			setup, err := BenchmarkSetup(TriangularFactory(maxW))
-			if err != nil {
-				return Output{}, err
-			}
-			cfg := core.DefaultConfig()
-			cfg.OverlapFraction = overlap
-			out, err := ScheduledRun(context.TODO(), cfg, alg, []core.TaskSetup{setup})
-			if err != nil {
-				return Output{}, err
-			}
-			m := out.Metrics
-			t.AddRow(overlap, string(alg), m.MissedPct(), m.CPUUtilPct(), m.NetUtilPct(), m.MeanReplicas, m.Combined())
+			b.add(cfg, alg, []core.TaskSetup{setup}, func(out RunOutcome) {
+				m := out.Metrics
+				t.AddRow(overlap, string(alg), m.MissedPct(), m.CPUUtilPct(), m.NetUtilPct(), m.MeanReplicas, m.Combined())
+			})
 		}
 	}
-	return Output{ID: "ext-overlap", Tables: []*Table{t}}, nil
+	return b.output(ctx, Output{ID: "ext-overlap", Tables: []*Table{t}})
 }
 
 func runExtWarmup(ctx Context) (Output, error) {
-	const maxW = 24 * WorkloadUnit
+	setup, err := BenchmarkSetup(TriangularFactory(24 * WorkloadUnit))
+	if err != nil {
+		return Output{}, err
+	}
 	t := &Table{
 		Title:   "ext-warmup — replica spawn cost sweep (triangular, both algorithms)",
 		Columns: []string{"warmup (ms)", "algorithm", "MD%", "replications", "shutdowns", "C"},
 	}
+	var b batch
 	for _, warm := range []sim.Time{0, 25 * sim.Millisecond, 100 * sim.Millisecond, 400 * sim.Millisecond} {
+		cfg := core.DefaultConfig()
+		cfg.WarmupDemand = warm
 		for _, alg := range []core.Algorithm{core.Predictive, core.NonPredictive} {
-			setup, err := BenchmarkSetup(TriangularFactory(maxW))
-			if err != nil {
-				return Output{}, err
-			}
-			cfg := core.DefaultConfig()
-			cfg.WarmupDemand = warm
-			out, err := ScheduledRun(context.TODO(), cfg, alg, []core.TaskSetup{setup})
-			if err != nil {
-				return Output{}, err
-			}
-			m := out.Metrics
-			t.AddRow(warm.Milliseconds(), string(alg), m.MissedPct(), m.Replications, m.Shutdowns, m.Combined())
+			b.add(cfg, alg, []core.TaskSetup{setup}, func(out RunOutcome) {
+				m := out.Metrics
+				t.AddRow(warm.Milliseconds(), string(alg), m.MissedPct(), m.Replications, m.Shutdowns, m.Combined())
+			})
 		}
 	}
-	return Output{ID: "ext-warmup", Tables: []*Table{t}}, nil
+	return b.output(ctx, Output{ID: "ext-warmup", Tables: []*Table{t}})
 }
 
 func init() {
@@ -420,7 +419,10 @@ func init() {
 }
 
 func runExtSched(ctx Context) (Output, error) {
-	const maxW = 24 * WorkloadUnit
+	setup, err := BenchmarkSetup(TriangularFactory(24 * WorkloadUnit))
+	if err != nil {
+		return Output{}, err
+	}
 	t := &Table{
 		Title:   "ext-sched — scheduling discipline (triangular, both algorithms)",
 		Columns: []string{"discipline", "algorithm", "MD%", "CPU%", "replicas", "C"},
@@ -431,20 +433,15 @@ func runExtSched(ctx Context) (Output, error) {
 				"completion in arrival order",
 		},
 	}
+	var b batch
 	for _, d := range []cpu.Discipline{cpu.RoundRobin, cpu.ProcessorSharing, cpu.FIFO} {
+		cfg := core.DefaultConfig()
+		cfg.Discipline = d
 		for _, alg := range []core.Algorithm{core.Predictive, core.NonPredictive} {
-			setup, err := BenchmarkSetup(TriangularFactory(maxW))
-			if err != nil {
-				return Output{}, err
-			}
-			cfg := core.DefaultConfig()
-			cfg.Discipline = d
-			out, err := ScheduledRun(context.TODO(), cfg, alg, []core.TaskSetup{setup})
-			if err != nil {
-				return Output{}, err
-			}
-			m := out.Metrics
-			t.AddRow(d.String(), string(alg), m.MissedPct(), m.CPUUtilPct(), m.MeanReplicas, m.Combined())
+			b.add(cfg, alg, []core.TaskSetup{setup}, func(out RunOutcome) {
+				m := out.Metrics
+				t.AddRow(d.String(), string(alg), m.MissedPct(), m.CPUUtilPct(), m.MeanReplicas, m.Combined())
+			})
 		}
 	}
 	// The discipline's real signature is the contention law the
@@ -475,7 +472,7 @@ func runExtSched(ctx Context) (Output, error) {
 		}
 		law.AddRow(row...)
 	}
-	return Output{ID: "ext-sched", Tables: []*Table{t, law}}, nil
+	return b.output(ctx, Output{ID: "ext-sched", Tables: []*Table{t, law}})
 }
 
 func init() {
@@ -485,7 +482,10 @@ func init() {
 }
 
 func runExtSmoothing(ctx Context) (Output, error) {
-	const maxW = 24 * WorkloadUnit
+	setup, err := BenchmarkSetup(TriangularFactory(24 * WorkloadUnit))
+	if err != nil {
+		return Output{}, err
+	}
 	t := &Table{
 		Title:   "ext-smoothing — monitor smoothing window (triangular, predictive)",
 		Columns: []string{"window", "MD%", "replications", "shutdowns", "replicas", "C"},
@@ -494,19 +494,14 @@ func runExtSmoothing(ctx Context) (Output, error) {
 				"later to genuine workload change",
 		},
 	}
+	var b batch
 	for _, w := range []int{1, 2, 3, 5} {
-		setup, err := BenchmarkSetup(TriangularFactory(maxW))
-		if err != nil {
-			return Output{}, err
-		}
 		cfg := core.DefaultConfig()
 		cfg.Monitor.SmoothingWindow = w
-		out, err := ScheduledRun(context.TODO(), cfg, core.Predictive, []core.TaskSetup{setup})
-		if err != nil {
-			return Output{}, err
-		}
-		m := out.Metrics
-		t.AddRow(w, m.MissedPct(), m.Replications, m.Shutdowns, m.MeanReplicas, m.Combined())
+		b.add(cfg, core.Predictive, []core.TaskSetup{setup}, func(out RunOutcome) {
+			m := out.Metrics
+			t.AddRow(w, m.MissedPct(), m.Replications, m.Shutdowns, m.MeanReplicas, m.Combined())
+		})
 	}
-	return Output{ID: "ext-smoothing", Tables: []*Table{t}}, nil
+	return b.output(ctx, Output{ID: "ext-smoothing", Tables: []*Table{t}})
 }

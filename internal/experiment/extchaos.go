@@ -80,29 +80,9 @@ func runExtChaos(ctx Context) (Output, error) {
 		intensities = intensities[:2]
 	}
 	seeds := ctx.seeds()
-	algs := []core.Algorithm{core.Predictive, core.NonPredictive}
-
-	// Submit every (intensity, algorithm, replication) run before waiting
-	// on any, so the shared scheduler's worker pool sees the whole batch.
-	type cell struct {
-		in   chaosIntensity
-		alg  core.Algorithm
-		reps []*runEntry
-	}
-	var cells []cell
-	for _, in := range intensities {
-		for _, alg := range algs {
-			c := cell{in: in, alg: alg, reps: make([]*runEntry, seeds)}
-			for r := 0; r < seeds; r++ {
-				setup, err := BenchmarkSetup(TriangularFactory(maxUnits * WorkloadUnit))
-				if err != nil {
-					return Output{}, err
-				}
-				c.reps[r] = sched.submit(chaosConfig(in, chaosSeed(in.name, alg, r)), alg,
-					[]core.TaskSetup{setup})
-			}
-			cells = append(cells, c)
-		}
+	setup, err := BenchmarkSetup(TriangularFactory(maxUnits * WorkloadUnit))
+	if err != nil {
+		return Output{}, err
 	}
 
 	ci := seeds > 1
@@ -125,38 +105,34 @@ func runExtChaos(ctx Context) (Output, error) {
 		t.Columns = []string{"intensity", "algorithm",
 			"MD%", "failovers", "drops", "retransmits", "recovery ms", "C"}
 	}
-	for _, c := range cells {
-		md := make([]float64, seeds)
-		fo := make([]float64, seeds)
-		dr := make([]float64, seeds)
-		rx := make([]float64, seeds)
-		rec := make([]float64, seeds)
-		cm := make([]float64, seeds)
-		for r, e := range c.reps {
-			out, err := e.wait()
-			if err != nil {
-				return Output{}, fmt.Errorf("experiment: chaos %s %s rep %d: %w", c.in.name, c.alg, r, err)
+	var b batch
+	for _, in := range intensities {
+		for _, alg := range []core.Algorithm{core.Predictive, core.NonPredictive} {
+			md, fo, dr := make([]float64, seeds), make([]float64, seeds), make([]float64, seeds)
+			rx, rec, cm := make([]float64, seeds), make([]float64, seeds), make([]float64, seeds)
+			for r := 0; r < seeds; r++ {
+				b.add(chaosConfig(in, chaosSeed(in.name, alg, r)), alg, []core.TaskSetup{setup}, func(out RunOutcome) {
+					m := out.Metrics
+					md[r], fo[r], dr[r] = m.MissedPct(), float64(out.Failovers), float64(m.DroppedMessages)
+					rx[r], rec[r], cm[r] = float64(m.Retransmissions), m.MeanRecoveryMS, m.Combined()
+					if r < seeds-1 {
+						return // the cell's row waits for its last replication
+					}
+					if !ci {
+						t.AddRow(in.name, string(alg), md[0], fo[0], dr[0], rx[0], rec[0], cm[0])
+						return
+					}
+					mdM, mdC := stats.MeanCI95(md)
+					foM, foC := stats.MeanCI95(fo)
+					drM, drC := stats.MeanCI95(dr)
+					rxM, rxC := stats.MeanCI95(rx)
+					recM, recC := stats.MeanCI95(rec)
+					cmM, cmC := stats.MeanCI95(cm)
+					t.AddRow(in.name, string(alg), mdM, mdC, foM, foC, drM, drC,
+						rxM, rxC, recM, recC, cmM, cmC)
+				})
 			}
-			m := out.Metrics
-			md[r] = m.MissedPct()
-			fo[r] = float64(out.Failovers)
-			dr[r] = float64(m.DroppedMessages)
-			rx[r] = float64(m.Retransmissions)
-			rec[r] = m.MeanRecoveryMS
-			cm[r] = m.Combined()
-		}
-		if ci {
-			mdM, mdC := stats.MeanCI95(md)
-			foM, foC := stats.MeanCI95(fo)
-			drM, drC := stats.MeanCI95(dr)
-			rxM, rxC := stats.MeanCI95(rx)
-			recM, recC := stats.MeanCI95(rec)
-			cmM, cmC := stats.MeanCI95(cm)
-			t.AddRow(c.in.name, string(c.alg), mdM, mdC, foM, foC, drM, drC,
-				rxM, rxC, recM, recC, cmM, cmC)
-		} else {
-			t.AddRow(c.in.name, string(c.alg), md[0], fo[0], dr[0], rx[0], rec[0], cm[0])
 		}
 	}
-	return Output{ID: "ext-chaos", Tables: []*Table{t}}, nil
+	return b.output(ctx, Output{ID: "ext-chaos", Tables: []*Table{t}})
 }

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 	"hash/fnv"
 	"sort"
@@ -63,12 +64,6 @@ func tournamentPolicies(ctx Context) []core.Algorithm {
 // policy over every cell it ran.
 func runExtTournament(ctx Context) (Output, error) {
 	const maxUnits = 16
-	// A tournament compares fresh runs of every policy; a run memo
-	// warmed by an earlier experiment in the same process must not leak
-	// point results across the policy axis (see the aliasing regression
-	// test in policy_conformance).
-	ResetSweepCache()
-
 	intensities := chaosIntensities()
 	patterns := tournamentPatterns()
 	if ctx.Quick {
@@ -77,31 +72,9 @@ func runExtTournament(ctx Context) (Output, error) {
 	}
 	algs := tournamentPolicies(ctx)
 	seeds := ctx.seeds()
-
-	// Submit the whole grid before waiting on any run, so the shared
-	// scheduler's worker pool sees the entire batch at once.
-	type cell struct {
-		pattern string
-		in      chaosIntensity
-		alg     core.Algorithm
-		reps    []*runEntry
-	}
-	var cells []cell
-	for _, pat := range patterns {
-		for _, in := range intensities {
-			for _, alg := range algs {
-				c := cell{pattern: pat.name, in: in, alg: alg, reps: make([]*runEntry, seeds)}
-				for r := 0; r < seeds; r++ {
-					setup, err := BenchmarkSetup(pat.factory(maxUnits * WorkloadUnit))
-					if err != nil {
-						return Output{}, err
-					}
-					cfg := chaosConfig(in, tournamentSeed(pat.name, in.name, alg, r))
-					c.reps[r] = sched.submit(cfg, alg, []core.TaskSetup{setup})
-				}
-				cells = append(cells, c)
-			}
-		}
+	base, err := BenchmarkSetup(nil)
+	if err != nil {
+		return Output{}, err
 	}
 
 	ci := seeds > 1
@@ -138,43 +111,47 @@ func runExtTournament(ctx Context) (Output, error) {
 	type coord struct{ pattern, intensity string }
 	cellMean := make(map[coord]map[core.Algorithm]float64)
 
-	for _, c := range cells {
-		md := make([]float64, seeds)
-		sh := make([]float64, seeds)
-		st := make([]float64, seeds)
-		cm := make([]float64, seeds)
-		for r, e := range c.reps {
-			out, err := e.wait()
-			if err != nil {
-				return Output{}, fmt.Errorf("experiment: tournament %s/%s/%s rep %d: %w",
-					c.pattern, c.in.name, c.alg, r, err)
-			}
-			m := out.Metrics
-			md[r] = m.MissedPct()
-			sh[r] = float64(m.ShedItems)
-			st[r] = float64(m.StretchedPeriods)
-			cm[r] = m.Combined()
-		}
-		a := aggs[c.alg]
-		a.md = append(a.md, md...)
-		a.shed = append(a.shed, sh...)
-		a.str = append(a.str, st...)
-		a.cm = append(a.cm, cm...)
-		k := coord{c.pattern, c.in.name}
-		if cellMean[k] == nil {
+	var b batch
+	for _, pat := range patterns {
+		setup := base
+		setup.Pattern = pat.factory(maxUnits * WorkloadUnit)
+		for _, in := range intensities {
+			k := coord{pat.name, in.name}
 			cellMean[k] = make(map[core.Algorithm]float64)
+			for _, alg := range algs {
+				md, sh := make([]float64, seeds), make([]float64, seeds)
+				st, cm := make([]float64, seeds), make([]float64, seeds)
+				for r := 0; r < seeds; r++ {
+					cfg := chaosConfig(in, tournamentSeed(pat.name, in.name, alg, r))
+					b.add(cfg, alg, []core.TaskSetup{setup}, func(out RunOutcome) {
+						m := out.Metrics
+						md[r], sh[r] = m.MissedPct(), float64(m.ShedItems)
+						st[r], cm[r] = float64(m.StretchedPeriods), m.Combined()
+						if r < seeds-1 {
+							return // the cell's row waits for its last replication
+						}
+						a := aggs[alg]
+						a.md = append(a.md, md...)
+						a.shed = append(a.shed, sh...)
+						a.str = append(a.str, st...)
+						a.cm = append(a.cm, cm...)
+						cmM, cmC := stats.MeanCI95(cm)
+						cellMean[k][alg] = cmM
+						if !ci {
+							grid.AddRow(pat.name, in.name, string(alg), md[0], sh[0], st[0], cm[0])
+							return
+						}
+						mdM, mdC := stats.MeanCI95(md)
+						shM, shC := stats.MeanCI95(sh)
+						stM, stC := stats.MeanCI95(st)
+						grid.AddRow(pat.name, in.name, string(alg), mdM, mdC, shM, shC, stM, stC, cmM, cmC)
+					})
+				}
+			}
 		}
-		cmM, _ := stats.MeanCI95(cm)
-		cellMean[k][c.alg] = cmM
-		if ci {
-			mdM, mdC := stats.MeanCI95(md)
-			shM, shC := stats.MeanCI95(sh)
-			stM, stC := stats.MeanCI95(st)
-			_, cmC := stats.MeanCI95(cm)
-			grid.AddRow(c.pattern, c.in.name, string(c.alg), mdM, mdC, shM, shC, stM, stC, cmM, cmC)
-		} else {
-			grid.AddRow(c.pattern, c.in.name, string(c.alg), md[0], sh[0], st[0], cm[0])
-		}
+	}
+	if err := b.run(context.Background(), ctx.Parallelism); err != nil {
+		return Output{}, err
 	}
 
 	for _, perAlg := range cellMean {

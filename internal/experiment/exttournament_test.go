@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -54,11 +55,11 @@ func TestTournamentCellsNeverAlias(t *testing.T) {
 	d := statsDelta(func() {
 		a := sched.submit(cfg, core.PeriodStretch, []core.TaskSetup{heavyA})
 		b := sched.submit(cfg, core.ImpreciseShed, []core.TaskSetup{heavyB})
-		outA, err := a.wait()
+		outA, err := a.waitCtx(context.Background(), sched)
 		if err != nil {
 			t.Fatal(err)
 		}
-		outB, err := b.wait()
+		outB, err := b.waitCtx(context.Background(), sched)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -223,7 +223,7 @@ func ciNote(seeds int) string {
 // is byte-identical to the historical single-run tables.
 func figMetricsSweep(id, key string, factory PatternFactory) func(Context) (Output, error) {
 	return func(ctx Context) (Output, error) {
-		results, err := Sweep(context.TODO(), ctx.sweepPoints(), factory, ctx.Parallelism, ctx.seeds())
+		results, err := Sweep(context.Background(), ctx.sweepPoints(), factory, ctx.Parallelism, ctx.seeds())
 		if err != nil {
 			return Output{}, err
 		}
@@ -347,7 +347,7 @@ func combinedTable(title string, results []PointResult, seeds int) (*Table, []in
 // figCombinedSweep reproduces Figure 10.
 func figCombinedSweep(id, key string, factory PatternFactory) func(Context) (Output, error) {
 	return func(ctx Context) (Output, error) {
-		results, err := Sweep(context.TODO(), ctx.sweepPoints(), factory, ctx.Parallelism, ctx.seeds())
+		results, err := Sweep(context.Background(), ctx.sweepPoints(), factory, ctx.Parallelism, ctx.seeds())
 		if err != nil {
 			return Output{}, err
 		}
@@ -382,7 +382,7 @@ func runFig13(ctx Context) (Output, error) {
 		{"fig13(a) — increasing ramp", "increasing", IncreasingFactory},
 		{"fig13(b) — decreasing ramp", "decreasing", DecreasingFactory},
 	} {
-		results, err := Sweep(context.TODO(), ctx.sweepPoints(), part.factory, ctx.Parallelism, ctx.seeds())
+		results, err := Sweep(context.Background(), ctx.sweepPoints(), part.factory, ctx.Parallelism, ctx.seeds())
 		if err != nil {
 			return Output{}, err
 		}

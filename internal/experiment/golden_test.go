@@ -255,3 +255,50 @@ func TestGoldenExtTournament(t *testing.T) {
 		checkGolden(t, fmt.Sprintf("exttournament-%d.golden.csv", i+1), csv.Bytes())
 	}
 }
+
+// TestCommittedResults reproduces every committed results/*.csv byte for
+// byte. Every registered experiment runs from a cold run memo at the
+// replication count results/ was generated at (EXPERIMENTS.md: ext-chaos
+// 5 seeds, ext-tournament 3, all others 1). A rendered table without a
+// committed CSV fails, and so does a committed CSV nothing renders.
+func TestCommittedResults(t *testing.T) {
+	seeds := map[string]int{"ext-chaos": 5, "ext-tournament": 3}
+	dir := filepath.Join("..", "..", "results")
+	files, err := filepath.Glob(filepath.Join(dir, "*.csv"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no committed CSVs under %s: %v", dir, err)
+	}
+	unrendered := map[string]bool{}
+	for _, f := range files {
+		unrendered[filepath.Base(f)] = true
+	}
+	ResetSweepCache()
+	for _, e := range All() {
+		out, err := e.Run(Context{Seeds: seeds[e.ID]})
+		if err != nil {
+			t.Fatalf("%s: %v", e.ID, err)
+		}
+		for i, table := range out.Tables {
+			name := e.ID + ".csv"
+			if len(out.Tables) > 1 {
+				name = fmt.Sprintf("%s-%d.csv", e.ID, i+1)
+			}
+			delete(unrendered, name)
+			var got bytes.Buffer
+			if err := table.WriteCSV(&got); err != nil {
+				t.Fatal(err)
+			}
+			want, err := os.ReadFile(filepath.Join(dir, name))
+			if err != nil {
+				t.Errorf("%s renders a table with no committed CSV: %v", e.ID, err)
+				continue
+			}
+			if !bytes.Equal(got.Bytes(), want) {
+				t.Errorf("%s differs from the committed CSV:\n%s", name, firstDiff(want, got.Bytes()))
+			}
+		}
+	}
+	for name := range unrendered {
+		t.Errorf("no experiment renders the committed %s", name)
+	}
+}

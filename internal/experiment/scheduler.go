@@ -3,6 +3,7 @@ package experiment
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"sync"
 	"time"
@@ -68,19 +69,10 @@ type runEntry struct {
 	waiters  int  // guarded by the scheduler mutex; live requesters
 }
 
-// wait blocks until the entry's run completes.
-func (e *runEntry) wait() (RunOutcome, error) {
-	<-e.done
-	return e.out, e.err
-}
-
 // waitCtx blocks until the run completes or ctx is done; abandoning a
 // cell releases this requester's stake in it (the cell is cancelled once
 // nobody is left waiting).
 func (e *runEntry) waitCtx(ctx context.Context, s *scheduler) (RunOutcome, error) {
-	if ctx.Done() == nil {
-		return e.wait()
-	}
 	select {
 	case <-e.done:
 		return e.out, e.err
@@ -201,6 +193,58 @@ func SchedulerStats() SchedulerCounters {
 // every requester has abandoned it.
 func ScheduledRun(ctx context.Context, cfg core.Config, alg core.Algorithm, setups []core.TaskSetup) (RunOutcome, error) {
 	return sched.submit(cfg, alg, setups).waitCtx(ctx, sched)
+}
+
+// batch is one experiment's grid of runs. Cells are collected with add
+// and resolved together by run, which hands every outcome to its cell's
+// use callback in add order — so tables render the same rows whatever the
+// pool width or completion order.
+type batch []batchCell
+
+type batchCell struct {
+	cfg    core.Config
+	alg    core.Algorithm
+	setups []core.TaskSetup
+	use    func(RunOutcome)
+}
+
+// add queues one run; use receives its outcome once run resolves it.
+func (b *batch) add(cfg core.Config, alg core.Algorithm, setups []core.TaskSetup, use func(RunOutcome)) {
+	*b = append(*b, batchCell{cfg, alg, setups, use})
+}
+
+// run sets the shared pool's width (parallelism ≤ 0 means NumCPU) and
+// submits every cell before waiting on any, so the pool sees the whole
+// grid at once. It then waits in add order. On the first error — a
+// failed cell or ctx expiring — it releases its stake in every cell it
+// has not yet consumed, so cells nobody else wants are cancelled instead
+// of simulating into the void.
+func (b batch) run(ctx context.Context, parallelism int) error {
+	setParallelism(parallelism)
+	entries := make([]*runEntry, len(b))
+	for i, c := range b {
+		entries[i] = sched.submit(c.cfg, c.alg, c.setups)
+	}
+	for i, c := range b {
+		out, err := entries[i].waitCtx(ctx, sched)
+		if err != nil {
+			for _, rest := range entries[i+1:] {
+				sched.abandon(rest)
+			}
+			return fmt.Errorf("experiment: %s run, seed %d: %w", c.alg, c.cfg.Seed, err)
+		}
+		c.use(out)
+	}
+	return nil
+}
+
+// output runs the batch for an experiment and returns out, whose tables
+// the cells' use callbacks have filled by then.
+func (b batch) output(ctx Context, out Output) (Output, error) {
+	if err := b.run(context.Background(), ctx.Parallelism); err != nil {
+		return Output{}, err
+	}
+	return out, nil
 }
 
 // submit registers one run and returns its entry without waiting, so

@@ -106,54 +106,32 @@ func Sweep(ctx context.Context, points []int, factory PatternFactory, parallelis
 	if seeds < 1 {
 		seeds = 1
 	}
-	setParallelism(parallelism)
 	// One base setup for the whole sweep: the dynbench demand curves and
 	// fitted models are pure, only the Pattern differs between points.
 	base, err := BenchmarkSetup(nil)
 	if err != nil {
 		return nil, err
 	}
-	algs := []core.Algorithm{core.Predictive, core.NonPredictive}
-	type cell struct {
-		units int
-		alg   core.Algorithm
-		reps  []*runEntry
-	}
-	cells := make([]cell, 0, len(points)*len(algs))
-	var all []*runEntry // flattened submission order, for error-path release
+	results := make([]PointResult, 0, 2*len(points))
+	var b batch
 	for _, u := range points {
-		for _, a := range algs {
-			c := cell{units: u, alg: a, reps: make([]*runEntry, seeds)}
-			for r := 0; r < seeds; r++ {
-				setup := base
-				setup.Pattern = factory(u * WorkloadUnit)
+		setup := base
+		setup.Pattern = factory(u * WorkloadUnit)
+		for _, a := range []core.Algorithm{core.Predictive, core.NonPredictive} {
+			reps := make([]metrics.RunMetrics, seeds)
+			results = append(results, PointResult{MaxUnits: u, Alg: a, Reps: reps})
+			for r := range reps {
 				cfg := core.DefaultConfig()
 				cfg.Seed = runSeed(u, a, r)
-				c.reps[r] = sched.submit(cfg, a, []core.TaskSetup{setup})
-				all = append(all, c.reps[r])
+				b.add(cfg, a, []core.TaskSetup{setup}, func(out RunOutcome) { reps[r] = out.Metrics })
 			}
-			cells = append(cells, c)
 		}
 	}
-	waited := 0
-	results := make([]PointResult, len(cells))
-	for i, c := range cells {
-		pr := PointResult{MaxUnits: c.units, Alg: c.alg, Reps: make([]metrics.RunMetrics, seeds)}
-		for r, e := range c.reps {
-			out, err := e.waitCtx(ctx, sched)
-			waited++ // this stake is settled either way: waitCtx abandoned it on ctx expiry, or the entry finished
-			if err != nil {
-				// Release the stake in every cell this sweep will never
-				// consume, so cells nobody else wants stop running.
-				for _, rest := range all[waited:] {
-					sched.abandon(rest)
-				}
-				return nil, fmt.Errorf("experiment: point %d %s rep %d: %w", c.units, c.alg, r, err)
-			}
-			pr.Reps[r] = out.Metrics
-		}
-		pr.Metrics = pr.Reps[0]
-		results[i] = pr
+	if err := b.run(ctx, parallelism); err != nil {
+		return nil, err
+	}
+	for i := range results {
+		results[i].Metrics = results[i].Reps[0]
 	}
 	return results, nil
 }

@@ -38,7 +38,7 @@ func runExtTelemetry(ctx Context) (Output, error) {
 	if err != nil {
 		return Output{}, err
 	}
-	rec := telemetry.New(telemetry.DefaultConfig())
+	rec := telemetry.New()
 	// Deliberately not ScheduledRun: the attached recorder is a per-run
 	// side effect the tables below read back, so a deduplicated or
 	// cache-served run would leave it empty. This stays the one batch

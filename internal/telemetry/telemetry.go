@@ -64,20 +64,8 @@ type Instant struct {
 	Value  int64  // replicas added, candidates flagged, …
 }
 
-// Config tunes the recorder.
-type Config struct {
-	// CaptureSpans keeps the full span/event buffers for Chrome trace
-	// export. Metrics and forecast tracking are always on. Disabling it
-	// bounds memory for very long runs.
-	CaptureSpans bool
-	// SpanCapacity pre-sizes the span buffer.
-	SpanCapacity int
-}
-
-// DefaultConfig captures spans with a buffer sized for a default run.
-func DefaultConfig() Config {
-	return Config{CaptureSpans: true, SpanCapacity: 4096}
-}
+// spanCapacity pre-sizes the span buffer for a default run.
+const spanCapacity = 4096
 
 // stageHandles are the cached per-(task, stage) metric handles.
 type stageHandles struct {
@@ -99,7 +87,6 @@ type taskHandles struct {
 // everywhere and records nothing; use New for an enabled one.
 type Recorder struct {
 	mu       sync.Mutex
-	cfg      Config
 	spans    []Span
 	instants []Instant
 	reg      *Registry
@@ -121,15 +108,12 @@ type Recorder struct {
 	netUtil    *Gauge
 }
 
-// New returns an enabled recorder.
-func New(cfg Config) *Recorder {
-	if cfg.SpanCapacity < 0 {
-		cfg.SpanCapacity = 0
-	}
+// New returns an enabled recorder. It keeps every span and instant for
+// Chrome trace export; metrics and forecast tracking are always on.
+func New() *Recorder {
 	reg := NewRegistry()
 	return &Recorder{
-		cfg:      cfg,
-		spans:    make([]Span, 0, cfg.SpanCapacity),
+		spans:    make([]Span, 0, spanCapacity),
 		instants: make([]Instant, 0, 256),
 		reg:      reg,
 		forecast: NewForecastSet(),
@@ -250,13 +234,11 @@ func (r *Recorder) recordExec(task string, stage, period, proc, items int, submi
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.stage(task, stage).jobLat.Record(completed - submitted)
-	if r.cfg.CaptureSpans {
-		r.spans = append(r.spans, Span{
-			Kind: KindExec, Task: task, Stage: int32(stage), Period: int32(period),
-			Proc: int32(proc), From: -1,
-			Start: submitted, Mid: started, End: completed, Items: int64(items),
-		})
-	}
+	r.spans = append(r.spans, Span{
+		Kind: KindExec, Task: task, Stage: int32(stage), Period: int32(period),
+		Proc: int32(proc), From: -1,
+		Start: submitted, Mid: started, End: completed, Items: int64(items),
+	})
 }
 
 // RecordJobWait records one job's ready-queue wait (first dispatch minus
@@ -296,13 +278,11 @@ func (r *Recorder) recordMessage(task string, stage, period, from, to int, paylo
 	} else {
 		r.msgRemote.Inc()
 	}
-	if r.cfg.CaptureSpans {
-		r.spans = append(r.spans, Span{
-			Kind: KindMessage, Task: task, Stage: int32(stage), Period: int32(period),
-			Proc: int32(to), From: int32(from),
-			Start: enqueued, Mid: sent, End: delivered, Items: payloadBytes,
-		})
-	}
+	r.spans = append(r.spans, Span{
+		Kind: KindMessage, Task: task, Stage: int32(stage), Period: int32(period),
+		Proc: int32(to), From: int32(from),
+		Start: enqueued, Mid: sent, End: delivered, Items: payloadBytes,
+	})
 }
 
 // RecordStage records one stage's monitor-observed latency against its
@@ -355,12 +335,10 @@ func (r *Recorder) RecordAdaptation(at sim.Time, task string, stage, period int,
 		r.adapts[kind] = c
 	}
 	c.Inc()
-	if r.cfg.CaptureSpans {
-		r.instants = append(r.instants, Instant{
-			At: at, Task: task, Stage: int32(stage), Period: int32(period),
-			Kind: kind, Value: value,
-		})
-	}
+	r.instants = append(r.instants, Instant{
+		At: at, Task: task, Stage: int32(stage), Period: int32(period),
+		Kind: kind, Value: value,
+	})
 }
 
 // CountMessageDrop counts one lost segment message (drop probability or
