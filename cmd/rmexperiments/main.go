@@ -59,8 +59,7 @@ func main() {
 	slog.SetDefault(log)
 
 	if *remote != "" {
-		cl := client.New(*remote)
-		cl.Logger = log
+		cl := client.New(*remote, client.WithLogger(log))
 		// One failed poll must not abort a whole sweep. The client already
 		// retries individual requests; this outer loop handles the daemon
 		// *losing* the job entirely (restart without -data-dir → 404 on
@@ -68,8 +67,8 @@ func main() {
 		// resubmitting the run with backoff — submissions are idempotent by
 		// fingerprint, so the worst case is a cache hit on the daemon side.
 		resubmit := resil.Backoff{Attempts: 4, Base: 500 * time.Millisecond, Max: 10 * time.Second}
-		experiment.SetRemoteRunner(func(ctx context.Context, req api.RunRequest) (experiment.RunOutcome, error) {
-			var out experiment.RunOutcome
+		experiment.SetRemoteRunner(func(ctx context.Context, req api.RunRequest) (api.RunResult, error) {
+			var out api.RunResult
 			err := resil.Do(ctx, &resubmit, nil, func(attempt int) error {
 				res, err := cl.RunSync(ctx, req)
 				if err != nil {
@@ -82,7 +81,7 @@ func main() {
 					}
 					return err
 				}
-				out = experiment.OutcomeFromAPI(res)
+				out = res
 				return nil
 			})
 			return out, err

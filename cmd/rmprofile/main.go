@@ -10,8 +10,6 @@ import (
 	"fmt"
 	"log/slog"
 	"os"
-	"runtime"
-	"runtime/pprof"
 
 	"repro/internal/cliflag"
 	"repro/internal/core"
@@ -24,23 +22,11 @@ import (
 
 func main() {
 	var (
-		seed      = cliflag.Seed(flag.CommandLine, 11)
-		reps      = flag.Int("reps", 3, "measurements per grid point")
-		blockProf = flag.String("blockprofile", "", "write a goroutine blocking profile to this file (diagnoses lane-barrier stalls in parallel runs)")
-		mutexProf = flag.String("mutexprofile", "", "write a mutex contention profile to this file")
-		logFmt    = cliflag.LogFormat(flag.CommandLine)
+		seed   = cliflag.Seed(flag.CommandLine, 11)
+		reps   = flag.Int("reps", 3, "measurements per grid point")
+		logFmt = cliflag.LogFormat(flag.CommandLine)
 	)
 	flag.Parse()
-
-	// Contention profiling must be armed before the measured work runs;
-	// the profiles are written at exit by writeContentionProfiles.
-	if *blockProf != "" {
-		runtime.SetBlockProfileRate(1)
-	}
-	if *mutexProf != "" {
-		runtime.SetMutexProfileFraction(1)
-	}
-	defer writeContentionProfiles(*blockProf, *mutexProf)
 
 	logger, err := obs.NewLogger(os.Stderr, *logFmt, slog.LevelInfo)
 	if err != nil {
@@ -73,28 +59,4 @@ func main() {
 	fmt.Println("\nbuffer-delay slope (eq. 5):")
 	fmt.Printf("  fitted k = %.4f ms per 100 tracks (paper Table 3: %.1f)\n",
 		models.Comm.K, regress.PaperBufferSlopeK)
-}
-
-// writeContentionProfiles dumps the block and mutex profiles armed in
-// main. Reached only on the success path (error exits skip defers —
-// a profile of a failed run would mislead anyway).
-func writeContentionProfiles(blockPath, mutexPath string) {
-	write := func(path, name string) {
-		if path == "" {
-			return
-		}
-		f, err := os.Create(path)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "rmprofile:", err)
-			return
-		}
-		defer f.Close()
-		if err := pprof.Lookup(name).WriteTo(f, 0); err != nil {
-			fmt.Fprintln(os.Stderr, "rmprofile:", err)
-			return
-		}
-		fmt.Printf("%s profile written to %s\n", name, path)
-	}
-	write(blockPath, "block")
-	write(mutexPath, "mutex")
 }

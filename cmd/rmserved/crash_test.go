@@ -178,11 +178,10 @@ func TestCrashRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := experiment.ScheduledRun(context.Background(), cfg, alg, setups)
+	direct, err := experiment.ScheduledRun(context.Background(), cfg, alg, setups)
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct := experiment.OutcomeToAPI(out)
 	servedJSON, _ := json.Marshal(served)
 	directJSON, _ := json.Marshal(direct)
 	if string(servedJSON) != string(directJSON) {

@@ -88,11 +88,10 @@ func TestSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := experiment.ScheduledRun(context.Background(), cfg, alg, setups)
+	direct, err := experiment.ScheduledRun(context.Background(), cfg, alg, setups)
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct := experiment.OutcomeToAPI(out)
 	if served != direct {
 		t.Errorf("served result differs from direct ScheduledRun:\n got %+v\nwant %+v", served, direct)
 	}

@@ -8,6 +8,7 @@
 //	rmsim -alg non-predictive -pattern step -max 8000 -trace trace.csv
 //	rmsim -alg predictive -telemetry out.json -chrome trace.json
 //	rmsim -alg predictive -http :9090   # then browse /metrics, /snapshot.json
+//	rmsim -lanes 8 -parallel 4 -blockprofile block.prof -mutexprofile mutex.prof
 package main
 
 import (
@@ -19,6 +20,8 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"runtime"
+	"runtime/pprof"
 	"strconv"
 	"strings"
 	"time"
@@ -35,7 +38,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -57,6 +59,8 @@ func main() {
 		chrome   = flag.String("chrome", "", "write a Chrome trace_event JSON (chrome://tracing, Perfetto) to this file")
 		httpAddr = flag.String("http", "", "after the run, serve live telemetry on this address (/metrics, /snapshot.json, /trace.json) until interrupted")
 		force    = flag.Bool("force", false, "overwrite existing output files")
+		blockOut = flag.String("blockprofile", "", "write a goroutine blocking profile of the run to this file (diagnoses lane-barrier stalls with -lanes N -parallel M)")
+		mutexOut = flag.String("mutexprofile", "", "write a mutex contention profile of the run to this file")
 		mtbf     = flag.Duration("mtbf", 0, "stochastic node crashes: mean time between failures per node (enables the hardened manager)")
 		mttr     = flag.Duration("mttr", 8*time.Second, "mean time to repair for -mtbf crashes")
 		drop     = flag.Float64("drop", 0, "per-message drop probability on the shared segment, 0 ≤ p < 1 (enables the hardened manager)")
@@ -107,7 +111,7 @@ func main() {
 	// Refuse clobbers before the run, not after it: losing a finished
 	// simulation to a write error is pointless when the check is free.
 	if !*force {
-		for _, path := range []string{*traceOut, *jsonOut, *telOut, *chrome} {
+		for _, path := range []string{*traceOut, *jsonOut, *telOut, *chrome, *blockOut, *mutexOut} {
 			if path == "" || path == "-" {
 				continue
 			}
@@ -163,6 +167,13 @@ func main() {
 	if err := cfg.Validate(); err != nil {
 		fatal(err)
 	}
+	// Contention profiling must be armed before the run it measures.
+	if *blockOut != "" {
+		runtime.SetBlockProfileRate(1)
+	}
+	if *mutexOut != "" {
+		runtime.SetMutexProfileFraction(1)
+	}
 	res, err := core.RunContext(context.Background(), cfg, alg, setups, probe)
 	if err != nil {
 		fatal(err)
@@ -216,16 +227,12 @@ func main() {
 	}
 	if *jsonOut != "" {
 		writeOutput(*jsonOut, *force, "JSON", func(f io.Writer) error {
-			return export.WriteJSON(f, export.FromResult(res, true, true))
+			return export.WriteJSON(f, export.FromResult(res))
 		})
 	}
 	if *traceOut != "" {
 		writeOutput(*traceOut, *force, fmt.Sprintf("trace (%d rows)", len(res.Records)), func(f io.Writer) error {
-			log := trace.NewLog()
-			for _, r := range res.Records {
-				log.Record(r)
-			}
-			return log.WriteRecordsCSV(f)
+			return export.WriteRecordsCSV(f, res.Records)
 		})
 	}
 	if *telOut != "" {
@@ -233,6 +240,13 @@ func main() {
 	}
 	if *chrome != "" {
 		writeOutput(*chrome, *force, "Chrome trace", probe.Telemetry.WriteChromeTrace)
+	}
+	for _, prof := range []struct{ path, name string }{{*blockOut, "block"}, {*mutexOut, "mutex"}} {
+		if prof.path != "" {
+			writeOutput(prof.path, *force, prof.name+" profile", func(f io.Writer) error {
+				return pprof.Lookup(prof.name).WriteTo(f, 0)
+			})
+		}
 	}
 	if *httpAddr != "" {
 		srv, addr, err := probe.Telemetry.Serve(*httpAddr)

@@ -1,11 +1,14 @@
 // Package api defines the versioned public wire schema of the rmserved
 // simulation service: JSON request/response DTOs shared by the HTTP
 // daemon (internal/server), the Go client (internal/client), and the
-// rmexperiments -remote mode. The DTOs deliberately mirror — rather than
-// embed — the internal structs (core.Config, metrics.RunMetrics,
-// experiment.RunOutcome), so the wire format and the engine can evolve
-// independently: every message carries an explicit schema_version, and
-// the golden fixtures under testdata/ pin the encoding byte for byte.
+// rmexperiments -remote mode. Only DTOs that translate a format keep a
+// mirror of their engine struct: Config and Pattern carry _ns integers,
+// discipline names and a flattened policy section. Results need no
+// translation, so they cross the wire as the engine's own types
+// (Metrics is metrics.RunMetrics; RunResult, SweepPoint and
+// SchedulerStats are what the run scheduler returns). Every message
+// carries an explicit schema_version, and the golden fixtures under
+// testdata/ pin the encoding byte for byte.
 //
 // Versioning policy (see DESIGN.md §6): additive changes — new optional
 // fields with zero-value-off semantics — keep SchemaVersion; anything
@@ -148,96 +151,34 @@ func (r SweepRequest) Validate() error {
 	return errors.Join(errs...)
 }
 
-// Metrics is the wire mirror of metrics.RunMetrics (§5.2 quantities plus
-// the chaos counters).
-type Metrics struct {
-	Periods        int     `json:"periods"`
-	Completed      int     `json:"completed"`
-	Missed         int     `json:"missed"`
-	MeanCPUUtil    float64 `json:"mean_cpu_util"`
-	MeanNetUtil    float64 `json:"mean_net_util"`
-	MeanReplicas   float64 `json:"mean_replicas"`
-	MaxReplicas    float64 `json:"max_replicas"`
-	Replications   int     `json:"replications"`
-	Shutdowns      int     `json:"shutdowns"`
-	AllocFailures  int     `json:"alloc_failures"`
-	UnfinishedWork int     `json:"unfinished_work"`
+// Metrics is a run's §5.2 quantities plus the chaos and degradation
+// counters. The engine's record carries the wire tags itself, so the two
+// cannot drift apart.
+type Metrics = metrics.RunMetrics
 
-	DroppedMessages int     `json:"dropped_messages,omitempty"`
-	Retransmissions int     `json:"retransmissions,omitempty"`
-	Crashes         int     `json:"crashes,omitempty"`
-	Recoveries      int     `json:"recoveries,omitempty"`
-	MeanRecoveryMS  float64 `json:"mean_recovery_ms,omitempty"`
+// MetricsFromRun returns m unchanged, since Metrics is the engine's own
+// type. Only the separate perfbench module still calls it; code in this
+// module passes the value directly.
+func MetricsFromRun(m metrics.RunMetrics) Metrics { return m }
 
-	ShedItems        int `json:"shed_items,omitempty"`
-	StretchedPeriods int `json:"stretched_periods,omitempty"`
-}
-
-// MetricsFromRun converts the internal metrics struct to its wire form.
-func MetricsFromRun(m metrics.RunMetrics) Metrics {
-	return Metrics{
-		Periods:        m.Periods,
-		Completed:      m.Completed,
-		Missed:         m.Missed,
-		MeanCPUUtil:    m.MeanCPUUtil,
-		MeanNetUtil:    m.MeanNetUtil,
-		MeanReplicas:   m.MeanReplicas,
-		MaxReplicas:    m.MaxReplicas,
-		Replications:   m.Replications,
-		Shutdowns:      m.Shutdowns,
-		AllocFailures:  m.AllocFailures,
-		UnfinishedWork: m.UnfinishedWork,
-
-		DroppedMessages: m.DroppedMessages,
-		Retransmissions: m.Retransmissions,
-		Crashes:         m.Crashes,
-		Recoveries:      m.Recoveries,
-		MeanRecoveryMS:  m.MeanRecoveryMS,
-
-		ShedItems:        m.ShedItems,
-		StretchedPeriods: m.StretchedPeriods,
-	}
-}
-
-// ToRun converts the wire metrics back to the internal struct.
-func (m Metrics) ToRun() metrics.RunMetrics {
-	return metrics.RunMetrics{
-		Periods:        m.Periods,
-		Completed:      m.Completed,
-		Missed:         m.Missed,
-		MeanCPUUtil:    m.MeanCPUUtil,
-		MeanNetUtil:    m.MeanNetUtil,
-		MeanReplicas:   m.MeanReplicas,
-		MaxReplicas:    m.MaxReplicas,
-		Replications:   m.Replications,
-		Shutdowns:      m.Shutdowns,
-		AllocFailures:  m.AllocFailures,
-		UnfinishedWork: m.UnfinishedWork,
-
-		DroppedMessages: m.DroppedMessages,
-		Retransmissions: m.Retransmissions,
-		Crashes:         m.Crashes,
-		Recoveries:      m.Recoveries,
-		MeanRecoveryMS:  m.MeanRecoveryMS,
-
-		ShedItems:        m.ShedItems,
-		StretchedPeriods: m.StretchedPeriods,
-	}
-}
-
-// RunResult is the wire mirror of experiment.RunOutcome (the conversion
-// lives in experiment, which imports this package; the reverse import
-// would cycle).
+// RunResult is the cacheable summary of one simulation run: the §5.2
+// metrics plus the cheap derived counts the batch experiments table. The
+// run scheduler, its memo and disk cache, and the daemon all carry it
+// as is. Full period records and adaptation traces are deliberately
+// excluded — they are large, and no batch experiment consumes them.
 type RunResult struct {
 	SchemaVersion int     `json:"schema_version"`
 	Metrics       Metrics `json:"metrics"`
-	Failovers     int     `json:"failovers,omitempty"`
-	EventsFired   uint64  `json:"events_fired"`
+	// Failovers counts trace.ActionFailover adaptation events (ext-faults).
+	Failovers int `json:"failovers,omitempty"`
+	// EventsFired is the engine's determinism fingerprint.
+	EventsFired uint64 `json:"events_fired"`
 }
 
 // SweepPoint is one (max workload, algorithm) cell of a sweep result.
-// Reps carries every Monte Carlo replication; Metrics is replication 0
-// (the pinned seed the golden CSVs were recorded under).
+// Metrics is replication 0 (the pinned seed the golden CSVs were
+// recorded under). Reps carries every Monte Carlo replication, Reps[0]
+// == Metrics, and is set only when the sweep ran more than one seed.
 type SweepPoint struct {
 	MaxUnits  int       `json:"max_units"`
 	Algorithm string    `json:"algorithm"`
@@ -292,15 +233,18 @@ type Job struct {
 	Sweep       *SweepResult `json:"sweep,omitempty"`
 }
 
-// SchedulerStats is the wire mirror of experiment.SchedulerCounters.
+// SchedulerStats is a snapshot of the run scheduler's cumulative
+// accounting (experiment.SchedulerStats). Requested = Deduped +
+// MemoryHits + DiskHits + Simulated + Cancelled + Remote once every
+// submitted run has resolved.
 type SchedulerStats struct {
-	Requested  uint64 `json:"requested"`
-	Deduped    uint64 `json:"deduped"`
-	MemoryHits uint64 `json:"memory_hits"`
-	DiskHits   uint64 `json:"disk_hits"`
-	Simulated  uint64 `json:"simulated"`
-	Cancelled  uint64 `json:"cancelled"`
-	Remote     uint64 `json:"remote"`
+	Requested  uint64 `json:"requested"`   // run requests submitted, including duplicates
+	Deduped    uint64 `json:"deduped"`     // joined an identical run already in flight
+	MemoryHits uint64 `json:"memory_hits"` // served from the in-process memo of finished runs
+	DiskHits   uint64 `json:"disk_hits"`   // served from the persistent content-addressed cache
+	Simulated  uint64 `json:"simulated"`   // actually executed
+	Cancelled  uint64 `json:"cancelled"`   // abandoned by every requester before completing
+	Remote     uint64 `json:"remote"`      // delegated to a remote rmserved daemon
 }
 
 // JobStats counts jobs by state.

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/workload"
 )
 
@@ -245,8 +246,7 @@ func TestConfigRoundTrip(t *testing.T) {
 }
 
 // TestConfigMirrorsEveryCoreField reflectively mutates each leaf of
-// core.Config (Telemetry excepted — it observes a run, it does not shape
-// one) and asserts the mutation is visible in the wire encoding. A new
+// core.Config and asserts the mutation is visible in the wire encoding. A new
 // core knob that the mirror misses fails here, not in production as a
 // silently-ignored field.
 func TestConfigMirrorsEveryCoreField(t *testing.T) {
@@ -312,6 +312,21 @@ func TestConfigMirrorsEveryCoreField(t *testing.T) {
 	}
 	cfg := core.DefaultConfig()
 	walk(t, &cfg, reflect.ValueOf(&cfg).Elem(), "")
+}
+
+// TestResultTypesTagEveryField: results cross the wire as the engine's
+// own structs, with no mirror to rename their fields. An exported field
+// added to one of them without a json tag would go out under its Go
+// name, so every exported field must carry a tag.
+func TestResultTypesTagEveryField(t *testing.T) {
+	for _, v := range []any{metrics.RunMetrics{}, RunResult{}, SchedulerStats{}, SweepPoint{}} {
+		typ := reflect.TypeOf(v)
+		for i := 0; i < typ.NumField(); i++ {
+			if f := typ.Field(i); f.IsExported() && f.Tag.Get("json") == "" {
+				t.Errorf("%s.%s has no json tag", typ, f.Name)
+			}
+		}
+	}
 }
 
 // TestPatternRoundTrip proves every workload pattern type the schema

@@ -12,9 +12,8 @@ import (
 	"repro/internal/sim"
 )
 
-// Config is the wire mirror of core.Config (minus the telemetry
-// recorder, which observes a run rather than shaping one and cannot
-// cross a process boundary). Durations travel as nanosecond integers —
+// Config is the wire mirror of core.Config. Durations travel as
+// nanosecond integers —
 // exact, like the engine's own sim.Time — with _ns field suffixes.
 // TestConfigMirrorsEveryCoreField walks every core.Config leaf to keep
 // the mirror complete as the engine grows knobs.

@@ -36,16 +36,16 @@ import (
 type Client struct {
 	base string
 	hc   *http.Client
-	// PollInterval paces the polling fallback in Wait when the SSE stream
+	// pollInterval paces the polling fallback in Wait when the SSE stream
 	// is unavailable. Zero means 100ms.
-	PollInterval time.Duration
-	// Retry shapes the backoff between retried requests and SSE
+	pollInterval time.Duration
+	// retry shapes the backoff between retried requests and SSE
 	// reconnects. The zero value uses the resil defaults (3 attempts,
 	// 100ms base doubling to a 5s cap).
-	Retry resil.Backoff
-	// Logger, when set, logs every request at debug level with its
+	retry resil.Backoff
+	// logger, when set, logs every request at debug level with its
 	// correlation ID, status, and wall-clock duration.
-	Logger *slog.Logger
+	logger *slog.Logger
 
 	// sleep paces retries; nil means a real context-aware sleep. Tests
 	// substitute a recording fake.
@@ -69,17 +69,17 @@ func WithHTTPClient(hc *http.Client) Option {
 // WithRetries shapes the backoff between retried requests and SSE
 // reconnects.
 func WithRetries(b resil.Backoff) Option {
-	return func(c *Client) { c.Retry = b }
+	return func(c *Client) { c.retry = b }
 }
 
 // WithLogger installs a structured logger for per-request debug lines.
 func WithLogger(l *slog.Logger) Option {
-	return func(c *Client) { c.Logger = l }
+	return func(c *Client) { c.logger = l }
 }
 
 // WithPollInterval paces the polling fallback in Wait.
 func WithPollInterval(d time.Duration) Option {
-	return func(c *Client) { c.PollInterval = d }
+	return func(c *Client) { c.pollInterval = d }
 }
 
 // New builds a client for the given base URL. With no options it uses
@@ -90,13 +90,6 @@ func New(base string, opts ...Option) *Client {
 		o(c)
 	}
 	return c
-}
-
-// NewWithHTTPClient builds a client with a caller-supplied http.Client.
-//
-// Deprecated: use New(base, WithHTTPClient(hc)).
-func NewWithHTTPClient(base string, hc *http.Client) *Client {
-	return New(base, WithHTTPClient(hc))
 }
 
 // APIError is a non-2xx response decoded from the server's error
@@ -147,7 +140,7 @@ func requestID(ctx context.Context) string {
 
 // logRequest emits the client-side completion line when a logger is set.
 func (c *Client) logRequest(id, method, path string, status int, start time.Time, err error) {
-	if c.Logger == nil {
+	if c.logger == nil {
 		return
 	}
 	attrs := []any{"req", id, "method", method, "path", path, "dur_ms", time.Since(start).Milliseconds()}
@@ -157,7 +150,7 @@ func (c *Client) logRequest(id, method, path string, status int, start time.Time
 	if err != nil {
 		attrs = append(attrs, "error", err.Error())
 	}
-	c.Logger.Debug("rmserved request", attrs...)
+	c.logger.Debug("rmserved request", attrs...)
 }
 
 // sleeper resolves the retry pacer.
@@ -183,17 +176,17 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 	var err error
 	for attempt := 1; ; attempt++ {
 		err = c.doOnce(ctx, method, path, data, out)
-		if err == nil || !Retryable(err) || attempt >= c.Retry.MaxAttempts() {
+		if err == nil || !Retryable(err) || attempt >= c.retry.MaxAttempts() {
 			return err
 		}
-		delay := c.Retry.Delay(attempt)
+		delay := c.retry.Delay(attempt)
 		// The server knows its own drain rate better than our schedule.
 		var ae *APIError
 		if errors.As(err, &ae) && ae.RetryAfter > 0 {
 			delay = ae.RetryAfter
 		}
-		if c.Logger != nil {
-			c.Logger.Debug("rmserved request retrying", "method", method, "path", path, "attempt", attempt, "delay_ms", delay.Milliseconds(), "error", err.Error())
+		if c.logger != nil {
+			c.logger.Debug("rmserved request retrying", "method", method, "path", path, "attempt", attempt, "delay_ms", delay.Milliseconds(), "error", err.Error())
 		}
 		if serr := sleep(ctx, delay); serr != nil {
 			return err // ctx died mid-backoff; the request's error is the story
@@ -343,7 +336,7 @@ func (c *Client) Wait(ctx context.Context, id string) (api.Job, error) {
 	} else if ctx.Err() != nil {
 		return j, ctx.Err()
 	}
-	interval := c.PollInterval
+	interval := c.pollInterval
 	if interval <= 0 {
 		interval = 100 * time.Millisecond
 	}

@@ -73,22 +73,18 @@ func TestLegacyConsumerAgainstNewFrames(t *testing.T) {
 }
 
 // TestOptions proves the construction surface: the variadic New applies
-// options, and the deprecated NewWithHTTPClient still routes through
-// them.
+// options.
 func TestOptions(t *testing.T) {
 	hc := &http.Client{Timeout: 42 * time.Second}
 	c := New("http://x/", WithHTTPClient(hc), WithPollInterval(7*time.Millisecond))
 	if c.hc != hc {
 		t.Error("WithHTTPClient not applied")
 	}
-	if c.PollInterval != 7*time.Millisecond {
+	if c.pollInterval != 7*time.Millisecond {
 		t.Error("WithPollInterval not applied")
 	}
 	if c.base != "http://x" {
 		t.Errorf("base %q not trimmed", c.base)
-	}
-	if old := NewWithHTTPClient("http://x", hc); old.hc != hc {
-		t.Error("NewWithHTTPClient no longer installs the http client")
 	}
 	if def := New("http://x"); def.hc != http.DefaultClient {
 		t.Error("optionless New changed defaults")

@@ -35,13 +35,13 @@ func (c *Client) follow(ctx context.Context, path string, frame func(api.Event) 
 		if progressed {
 			attempt = 1
 		}
-		if !Retryable(err) || attempt >= c.Retry.MaxAttempts() {
+		if !Retryable(err) || attempt >= c.retry.MaxAttempts() {
 			return err
 		}
-		if c.Logger != nil {
-			c.Logger.Debug("rmserved stream reconnecting", "path", path, "attempt", attempt, "last_event_id", lastEventID, "error", err.Error())
+		if c.logger != nil {
+			c.logger.Debug("rmserved stream reconnecting", "path", path, "attempt", attempt, "last_event_id", lastEventID, "error", err.Error())
 		}
-		if serr := sleep(ctx, c.Retry.Delay(attempt)); serr != nil {
+		if serr := sleep(ctx, c.retry.Delay(attempt)); serr != nil {
 			return err
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/core"
 	"repro/internal/workload"
 )
@@ -109,7 +110,7 @@ func TestBatchReleasesStakesOnError(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		cfg := core.DefaultConfig()
 		cfg.Seed = uint64(failSeed + i)
-		b.add(cfg, core.Predictive, setups, func(RunOutcome) {
+		b.add(cfg, core.Predictive, setups, func(api.RunResult) {
 			t.Errorf("cell %d consumed after the batch failed", i)
 		})
 	}

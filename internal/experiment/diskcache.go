@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"sync/atomic"
 
+	"repro/internal/api"
 	"repro/internal/resil"
 )
 
@@ -63,9 +64,9 @@ func (c *DiskCache) CorruptCount() uint64 { return c.corrupt.Load() }
 // verified on read, so a file that was renamed, cross-copied, or written
 // under a different fingerprint scheme can never satisfy a lookup.
 type cacheEnvelope struct {
-	Schema  int        `json:"schema"`
-	Key     string     `json:"key"`
-	Outcome RunOutcome `json:"outcome"`
+	Schema  int           `json:"schema"`
+	Key     string        `json:"key"`
+	Outcome api.RunResult `json:"outcome"`
 }
 
 func (c *DiskCache) path(key string) string {
@@ -74,21 +75,21 @@ func (c *DiskCache) path(key string) string {
 
 // Get looks a run outcome up by fingerprint. ok is false on any miss,
 // including unreadable or mismatched entries; those are quarantined.
-func (c *DiskCache) Get(key string) (RunOutcome, bool) {
+func (c *DiskCache) Get(key string) (api.RunResult, bool) {
 	if len(key) < 2 {
-		return RunOutcome{}, false
+		return api.RunResult{}, false
 	}
 	path := c.path(key)
 	data, err := c.fs.ReadFile(path)
 	if err != nil {
 		// Absent or unreadable is a plain miss; only a file that exists
 		// but decodes wrong is quarantinable corruption.
-		return RunOutcome{}, false
+		return api.RunResult{}, false
 	}
 	var env cacheEnvelope
 	if err := json.Unmarshal(data, &env); err != nil || env.Schema != cacheSchema || env.Key != key {
 		c.quarantine(path)
-		return RunOutcome{}, false
+		return api.RunResult{}, false
 	}
 	return env.Outcome, true
 }
@@ -107,7 +108,7 @@ func (c *DiskCache) quarantine(path string) {
 // Put stores one run outcome, replacing any existing entry atomically.
 // Failures are transient (disk pressure, permissions flaps): callers
 // that retry at all should classify them retryable.
-func (c *DiskCache) Put(key string, out RunOutcome) error {
+func (c *DiskCache) Put(key string, out api.RunResult) error {
 	if len(key) < 2 {
 		return fmt.Errorf("experiment: run cache key %q too short", key)
 	}

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"io/fs"
 	"os"
@@ -9,10 +10,31 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/api"
 	"repro/internal/metrics"
 	"repro/internal/resil"
 )
 
+// distinctMetrics sets every RunMetrics leaf to its own non-zero value,
+// so a round trip that drops, zeroes or swaps any field shows up.
+func distinctMetrics(t *testing.T) metrics.RunMetrics {
+	var m metrics.RunMetrics
+	v := reflect.ValueOf(&m).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		switch f := v.Field(i); f.Kind() {
+		case reflect.Int:
+			f.SetInt(int64(i + 1))
+		case reflect.Float64:
+			f.SetFloat(float64(i+1) + 0.25)
+		default:
+			t.Fatalf("RunMetrics.%s: kind %v not handled", v.Type().Field(i).Name, f.Kind())
+		}
+	}
+	return m
+}
+
+// TestDiskCacheRoundTrip stores an outcome with every metric set and
+// reads it back exactly, both from its wire JSON and from the cache.
 func TestDiskCacheRoundTrip(t *testing.T) {
 	c, err := OpenDiskCache(t.TempDir())
 	if err != nil {
@@ -22,10 +44,22 @@ func TestDiskCacheRoundTrip(t *testing.T) {
 	if _, ok := c.Get(key); ok {
 		t.Fatal("hit on empty cache")
 	}
-	out := RunOutcome{
-		Metrics:     metrics.RunMetrics{Periods: 120, Completed: 118, Missed: 2, MeanReplicas: 1.25},
-		Failovers:   3,
-		EventsFired: 987654,
+	out := api.RunResult{
+		SchemaVersion: api.SchemaVersion,
+		Metrics:       distinctMetrics(t),
+		Failovers:     3,
+		EventsFired:   987654,
+	}
+	data, err := json.Marshal(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wire api.RunResult
+	if err := json.Unmarshal(data, &wire); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(wire, out) {
+		t.Fatalf("JSON round trip changed the outcome:\nput %#v\ngot %#v", out, wire)
 	}
 	if err := c.Put(key, out); err != nil {
 		t.Fatal(err)
@@ -35,7 +69,7 @@ func TestDiskCacheRoundTrip(t *testing.T) {
 		t.Fatal("miss after Put")
 	}
 	if !reflect.DeepEqual(got, out) {
-		t.Fatalf("round trip changed the outcome:\nput %+v\ngot %+v", out, got)
+		t.Fatalf("round trip changed the outcome:\nput %#v\ngot %#v", out, got)
 	}
 	if n := c.Len(); n != 1 {
 		t.Errorf("Len = %d", n)
@@ -48,7 +82,7 @@ func TestDiskCacheCorruptEntryIsAMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := "feedfacefeedfacefeedfacefeedfacefeedfacefeedfacefeedfacefeedface"
-	if err := c.Put(key, RunOutcome{EventsFired: 1}); err != nil {
+	if err := c.Put(key, api.RunResult{EventsFired: 1}); err != nil {
 		t.Fatal(err)
 	}
 	corruptCacheFiles(t, c.Dir())
@@ -91,7 +125,7 @@ func TestSchedulerDiskCacheWarmAndCorrupt(t *testing.T) {
 	ResetSweepCache()
 
 	points := []int{0, 4}
-	var cold []PointResult
+	var cold []api.SweepPoint
 	coldStats := statsDelta(func() {
 		cold, err = Sweep(context.Background(), points, TriangularFactory, 2, 1)
 		if err != nil {
@@ -106,7 +140,7 @@ func TestSchedulerDiskCacheWarmAndCorrupt(t *testing.T) {
 	}
 
 	ResetSweepCache() // forget the in-process memo; disk must serve everything
-	var warm []PointResult
+	var warm []api.SweepPoint
 	warmStats := statsDelta(func() {
 		warm, err = Sweep(context.Background(), points, TriangularFactory, 2, 1)
 		if err != nil {
@@ -122,7 +156,7 @@ func TestSchedulerDiskCacheWarmAndCorrupt(t *testing.T) {
 
 	corruptCacheFiles(t, cache.Dir())
 	ResetSweepCache()
-	var again []PointResult
+	var again []api.SweepPoint
 	corruptStats := statsDelta(func() {
 		again, err = Sweep(context.Background(), points, TriangularFactory, 2, 1)
 		if err != nil {
@@ -148,7 +182,7 @@ func TestDiskCacheQuarantinesCorruptEntries(t *testing.T) {
 	var observed []string
 	c.OnCorrupt = func(path string) { observed = append(observed, path) }
 	key := "deadbeefdeadbeefdeadbeefdeadbeefdeadbeefdeadbeefdeadbeefdeadbeef"
-	if err := c.Put(key, RunOutcome{EventsFired: 7}); err != nil {
+	if err := c.Put(key, api.RunResult{EventsFired: 7}); err != nil {
 		t.Fatal(err)
 	}
 	corruptCacheFiles(t, c.Dir())
@@ -178,7 +212,7 @@ func TestDiskCacheQuarantinesCorruptEntries(t *testing.T) {
 	if got := c.CorruptCount(); got != 1 {
 		t.Errorf("second Get re-counted the same corruption: %d", got)
 	}
-	if err := c.Put(key, RunOutcome{EventsFired: 8}); err != nil {
+	if err := c.Put(key, api.RunResult{EventsFired: 8}); err != nil {
 		t.Fatal(err)
 	}
 	if out, ok := c.Get(key); !ok || out.EventsFired != 8 {
@@ -206,7 +240,7 @@ func TestDiskCachePutFailuresAreTransient(t *testing.T) {
 				t.Fatal(err)
 			}
 			key := "cafebabecafebabecafebabecafebabecafebabecafebabecafebabecafebabe"
-			err = c.Put(key, RunOutcome{EventsFired: 1})
+			err = c.Put(key, api.RunResult{EventsFired: 1})
 			if !resil.IsTransient(err) {
 				t.Fatalf("Put error %v, want transient", err)
 			}

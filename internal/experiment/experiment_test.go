@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/api"
 	"repro/internal/core"
 	"repro/internal/dynbench"
 )
@@ -138,7 +139,7 @@ func TestHeadlineOrderingTriangular(t *testing.T) {
 	points, pred, nonpred := byPoint(results)
 	strictlyBetter := 0
 	for _, p := range points {
-		cp, cn := pred[p].Combined(), nonpred[p].Combined()
+		cp, cn := pred[p].Metrics.Combined(), nonpred[p].Metrics.Combined()
 		if cp > cn*1.02 {
 			t.Errorf("point %d: predictive C %.2f worse than non-predictive %.2f", p, cp, cn)
 		}
@@ -152,15 +153,15 @@ func TestHeadlineOrderingTriangular(t *testing.T) {
 	// Figure 9(d): the non-predictive algorithm uses at least as many
 	// replicas everywhere it adapts.
 	for _, p := range points {
-		if nonpred[p].MeanReplicas < pred[p].MeanReplicas-0.05 {
+		if nonpred[p].Metrics.MeanReplicas < pred[p].Metrics.MeanReplicas-0.05 {
 			t.Errorf("point %d: non-predictive replicas %.2f below predictive %.2f",
-				p, nonpred[p].MeanReplicas, pred[p].MeanReplicas)
+				p, nonpred[p].Metrics.MeanReplicas, pred[p].Metrics.MeanReplicas)
 		}
 	}
 	// At the smallest workload the algorithms coincide (§5.2: "for
 	// smaller workloads where no replication is needed, the performance
 	// of both algorithms is the same").
-	if p0 := points[0]; pred[p0].Replications != 0 || nonpred[p0].Replications != 0 {
+	if p0 := points[0]; pred[p0].Metrics.Replications != 0 || nonpred[p0].Metrics.Replications != 0 {
 		t.Error("replication triggered at the no-load point")
 	}
 }
@@ -193,7 +194,7 @@ func TestCachedSweepReturnsSameSlice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var y []PointResult
+	var y []api.SweepPoint
 	d := statsDelta(func() {
 		y, err = Sweep(context.Background(), []int{4}, TriangularFactory, 1, 1)
 	})

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/api"
 	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/dynbench"
@@ -54,13 +55,13 @@ func runExtThreshold(ctx Context) (Output, error) {
 	flips := 0
 	last := ""
 	for _, p := range pts {
-		w := winner(pred[p].Combined(), nonpred[p].Combined())
+		a, b := pred[p].Metrics, nonpred[p].Metrics
+		w := winner(a.Combined(), b.Combined())
 		if last != "" && w != last {
 			flips++
 		}
 		last = w
-		t.AddRow(p, pred[p].Combined(), nonpred[p].Combined(), w,
-			pred[p].MissedPct(), nonpred[p].MissedPct())
+		t.AddRow(p, a.Combined(), b.Combined(), w, a.MissedPct(), b.MissedPct())
 	}
 	t.Notes = append(t.Notes, fmt.Sprintf("winner changed %d time(s) across the region", flips))
 	return Output{ID: "ext-threshold", Tables: []*Table{t}}, nil
@@ -95,7 +96,7 @@ func runExtMultitask(ctx Context) (Output, error) {
 		cfg := core.DefaultConfig()
 		cfg.Seed = uint64(1000 + n)
 		for _, alg := range []core.Algorithm{core.Predictive, core.NonPredictive} {
-			b.add(cfg, alg, setups, func(out RunOutcome) {
+			b.add(cfg, alg, setups, func(out api.RunResult) {
 				m := out.Metrics
 				t.AddRow(n, string(alg), m.MissedPct(), m.CPUUtilPct(), m.NetUtilPct(), m.MeanReplicas, m.Combined())
 			})
@@ -120,7 +121,7 @@ func runExtSlack(ctx Context) (Output, error) {
 		if cfg.Monitor.HighSlackFraction <= sl {
 			cfg.Monitor.HighSlackFraction = sl + 0.3
 		}
-		b.add(cfg, core.Predictive, []core.TaskSetup{setup}, func(out RunOutcome) {
+		b.add(cfg, core.Predictive, []core.TaskSetup{setup}, func(out api.RunResult) {
 			m := out.Metrics
 			t.AddRow(sl, m.MissedPct(), m.CPUUtilPct(), m.NetUtilPct(), m.MeanReplicas, m.Combined())
 		})
@@ -141,7 +142,7 @@ func runExtUT(ctx Context) (Output, error) {
 	for _, ut := range []float64{0.1, 0.2, 0.3, 0.4, 0.5} {
 		cfg := core.DefaultConfig()
 		cfg.UtilThreshold = ut
-		b.add(cfg, core.NonPredictive, []core.TaskSetup{setup}, func(out RunOutcome) {
+		b.add(cfg, core.NonPredictive, []core.TaskSetup{setup}, func(out api.RunResult) {
 			m := out.Metrics
 			t.AddRow(ut, m.MissedPct(), m.CPUUtilPct(), m.NetUtilPct(), m.MeanReplicas, m.Combined())
 		})
@@ -168,7 +169,7 @@ func runExtPatterns(ctx Context) (Output, error) {
 		setup := base
 		setup.Pattern = p
 		for _, alg := range []core.Algorithm{core.Predictive, core.NonPredictive} {
-			b.add(core.DefaultConfig(), alg, []core.TaskSetup{setup}, func(out RunOutcome) {
+			b.add(core.DefaultConfig(), alg, []core.TaskSetup{setup}, func(out api.RunResult) {
 				m := out.Metrics
 				t.AddRow(p.Name(), string(alg), m.MissedPct(), m.CPUUtilPct(), m.NetUtilPct(), m.MeanReplicas, m.Combined())
 			})
@@ -207,7 +208,7 @@ func runExtFaults(ctx Context) (Output, error) {
 		setup := base
 		setup.Pattern = TriangularFactory(maxUnits * WorkloadUnit)
 		for _, alg := range []core.Algorithm{core.Predictive, core.NonPredictive} {
-			b.add(cfg, alg, []core.TaskSetup{setup}, func(out RunOutcome) {
+			b.add(cfg, alg, []core.TaskSetup{setup}, func(out api.RunResult) {
 				m := out.Metrics
 				t.AddRow(maxUnits, string(alg), m.Periods-m.Completed, m.MissedPct(), out.Failovers, m.Combined())
 			})
@@ -257,7 +258,7 @@ func runExtSeeds(ctx Context) (Output, error) {
 			for seed := range cs[i][a] {
 				cfg := core.DefaultConfig()
 				cfg.Seed = uint64(7777 + seed*13)
-				b.add(cfg, alg, []core.TaskSetup{setup}, func(out RunOutcome) { cs[i][a][seed] = out.Metrics.Combined() })
+				b.add(cfg, alg, []core.TaskSetup{setup}, func(out api.RunResult) { cs[i][a][seed] = out.Metrics.Combined() })
 			}
 		}
 	}
@@ -308,7 +309,7 @@ func runExtAllocators(ctx Context) (Output, error) {
 		setup := base
 		setup.Pattern = TriangularFactory(p * WorkloadUnit)
 		for _, alg := range []core.Algorithm{core.Predictive, core.NonPredictive, core.Greedy, core.StaticMax} {
-			b.add(core.DefaultConfig(), alg, []core.TaskSetup{setup}, func(out RunOutcome) {
+			b.add(core.DefaultConfig(), alg, []core.TaskSetup{setup}, func(out api.RunResult) {
 				m := out.Metrics
 				t.AddRow(p, string(alg), m.MissedPct(), m.CPUUtilPct(), m.NetUtilPct(), m.MeanReplicas, m.Combined())
 			})
@@ -344,7 +345,7 @@ func runExtModels(ctx Context) (Output, error) {
 			if err != nil {
 				return Output{}, err
 			}
-			b.add(core.DefaultConfig(), core.Predictive, []core.TaskSetup{setup}, func(out RunOutcome) {
+			b.add(core.DefaultConfig(), core.Predictive, []core.TaskSetup{setup}, func(out api.RunResult) {
 				m := out.Metrics
 				t.AddRow(p, string(source), m.MissedPct(), m.CPUUtilPct(), m.NetUtilPct(), m.MeanReplicas, m.Combined())
 			})
@@ -380,7 +381,7 @@ func runExtOverlap(ctx Context) (Output, error) {
 		cfg := core.DefaultConfig()
 		cfg.OverlapFraction = overlap
 		for _, alg := range []core.Algorithm{core.Predictive, core.NonPredictive} {
-			b.add(cfg, alg, []core.TaskSetup{setup}, func(out RunOutcome) {
+			b.add(cfg, alg, []core.TaskSetup{setup}, func(out api.RunResult) {
 				m := out.Metrics
 				t.AddRow(overlap, string(alg), m.MissedPct(), m.CPUUtilPct(), m.NetUtilPct(), m.MeanReplicas, m.Combined())
 			})
@@ -403,7 +404,7 @@ func runExtWarmup(ctx Context) (Output, error) {
 		cfg := core.DefaultConfig()
 		cfg.WarmupDemand = warm
 		for _, alg := range []core.Algorithm{core.Predictive, core.NonPredictive} {
-			b.add(cfg, alg, []core.TaskSetup{setup}, func(out RunOutcome) {
+			b.add(cfg, alg, []core.TaskSetup{setup}, func(out api.RunResult) {
 				m := out.Metrics
 				t.AddRow(warm.Milliseconds(), string(alg), m.MissedPct(), m.Replications, m.Shutdowns, m.Combined())
 			})
@@ -438,7 +439,7 @@ func runExtSched(ctx Context) (Output, error) {
 		cfg := core.DefaultConfig()
 		cfg.Discipline = d
 		for _, alg := range []core.Algorithm{core.Predictive, core.NonPredictive} {
-			b.add(cfg, alg, []core.TaskSetup{setup}, func(out RunOutcome) {
+			b.add(cfg, alg, []core.TaskSetup{setup}, func(out api.RunResult) {
 				m := out.Metrics
 				t.AddRow(d.String(), string(alg), m.MissedPct(), m.CPUUtilPct(), m.MeanReplicas, m.Combined())
 			})
@@ -498,7 +499,7 @@ func runExtSmoothing(ctx Context) (Output, error) {
 	for _, w := range []int{1, 2, 3, 5} {
 		cfg := core.DefaultConfig()
 		cfg.Monitor.SmoothingWindow = w
-		b.add(cfg, core.Predictive, []core.TaskSetup{setup}, func(out RunOutcome) {
+		b.add(cfg, core.Predictive, []core.TaskSetup{setup}, func(out api.RunResult) {
 			m := out.Metrics
 			t.AddRow(w, m.MissedPct(), m.Replications, m.Shutdowns, m.MeanReplicas, m.Combined())
 		})

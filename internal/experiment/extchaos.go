@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 
+	"repro/internal/api"
 	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/sim"
@@ -111,7 +112,7 @@ func runExtChaos(ctx Context) (Output, error) {
 			md, fo, dr := make([]float64, seeds), make([]float64, seeds), make([]float64, seeds)
 			rx, rec, cm := make([]float64, seeds), make([]float64, seeds), make([]float64, seeds)
 			for r := 0; r < seeds; r++ {
-				b.add(chaosConfig(in, chaosSeed(in.name, alg, r)), alg, []core.TaskSetup{setup}, func(out RunOutcome) {
+				b.add(chaosConfig(in, chaosSeed(in.name, alg, r)), alg, []core.TaskSetup{setup}, func(out api.RunResult) {
 					m := out.Metrics
 					md[r], fo[r], dr[r] = m.MissedPct(), float64(out.Failovers), float64(m.DroppedMessages)
 					rx[r], rec[r], cm[r] = float64(m.Retransmissions), m.MeanRecoveryMS, m.Combined()

@@ -6,6 +6,7 @@ import (
 	"hash/fnv"
 	"sort"
 
+	"repro/internal/api"
 	"repro/internal/core"
 	"repro/internal/policy"
 	"repro/internal/stats"
@@ -123,7 +124,7 @@ func runExtTournament(ctx Context) (Output, error) {
 				st, cm := make([]float64, seeds), make([]float64, seeds)
 				for r := 0; r < seeds; r++ {
 					cfg := chaosConfig(in, tournamentSeed(pat.name, in.name, alg, r))
-					b.add(cfg, alg, []core.TaskSetup{setup}, func(out RunOutcome) {
+					b.add(cfg, alg, []core.TaskSetup{setup}, func(out api.RunResult) {
 						m := out.Metrics
 						md[r], sh[r] = m.MissedPct(), float64(m.ShedItems)
 						st[r], cm[r] = float64(m.StretchedPeriods), m.Combined()

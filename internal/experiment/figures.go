@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"repro/internal/api"
 	"repro/internal/ascii"
 	"repro/internal/dynbench"
 	"repro/internal/metrics"
@@ -228,7 +229,7 @@ func figMetricsSweep(id, key string, factory PatternFactory) func(Context) (Outp
 			return Output{}, err
 		}
 		ci := ctx.seeds() > 1
-		points, pred, nonpred := byPointResult(results)
+		points, pred, nonpred := byPoint(results)
 		t := &Table{
 			Title: fmt.Sprintf("%s — %s pattern (1 workload unit = 500 tracks, %d periods/run)",
 				id, key, SweepPeriods),
@@ -314,9 +315,9 @@ func sweepChart(title, pattern string, points []int, series [2][]float64) *ascii
 // combinedTable builds a combined-metric table for one sweep, shared by
 // Figure 10 and both halves of Figure 13; with replication it renders
 // mean ± 95% CI and decides the winner on the means.
-func combinedTable(title string, results []PointResult, seeds int) (*Table, []int, [2][]float64) {
+func combinedTable(title string, results []api.SweepPoint, seeds int) (*Table, []int, [2][]float64) {
 	ci := seeds > 1
-	points, pred, nonpred := byPointResult(results)
+	points, pred, nonpred := byPoint(results)
 	t := &Table{
 		Title:   title,
 		Columns: []string{"max workload", "C pred", "C nonpred", "winner"},

@@ -10,17 +10,18 @@ import (
 	"repro/internal/core"
 )
 
-// cacheSchema versions the run fingerprint and the cached RunOutcome
+// cacheSchema versions the run fingerprint and the cached run outcome
 // layout together. Bump it whenever either changes meaning: stale
 // persistent cache entries then simply miss instead of being misread.
 //
 // v2: core.Config gained Chaos/Degradation, network.Config gained the
-// loss/jitter/partition knobs, and RunOutcome's metrics gained the
-// chaos counters.
+// loss/jitter/partition knobs, and the cached outcome's metrics gained
+// the chaos counters.
 //
 // v3: the allocation policies moved behind the internal/policy registry,
-// core.Config gained the Policy knob section (stretch/shed), and
-// RunOutcome's metrics gained the ShedItems/StretchedPeriods counters.
+// core.Config gained the Policy knob section (stretch/shed), and the
+// cached outcome's metrics gained the ShedItems/StretchedPeriods
+// counters.
 //
 // v4: core.Config gained the lane partition (Lanes, which shapes
 // results and enters the fingerprint) and the Parallel worker knob
@@ -30,7 +31,13 @@ import (
 // core.Observer probe), so the %#v dump below — and with it every key —
 // changed once. Results did not: stale disk entries miss and
 // re-simulate, and no committed fixture pins a real key.
-const cacheSchema = 5
+//
+// v6: the cached outcome became api.RunResult, whose metrics use the
+// wire's snake_case names (mean_cpu_util, shed_items, ...) instead of
+// Go field names. Go's case-insensitive decoding would still read an
+// old entry's Periods but silently zero its MeanCPUUtil, so old entries
+// must miss rather than be misread.
+const cacheSchema = 6
 
 // demandProbeSizes are the item counts at which each subtask's demand
 // curve is sampled into the fingerprint. Demand functions are closures,

@@ -29,6 +29,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/api"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files under testdata/")
@@ -39,13 +41,13 @@ func goldenPoints() []int { return []int{0, 6, 12, 20} }
 
 // goldenCSV serializes sweep results at full float precision — unlike the
 // figure tables' %.3f cells, this catches drift below a thousandth.
-func goldenCSV(results []PointResult) []byte {
+func goldenCSV(results []api.SweepPoint) []byte {
 	var b bytes.Buffer
 	b.WriteString("max_units,alg,periods,completed,missed,mean_cpu_util,mean_net_util,mean_replicas,max_replicas,replications,shutdowns,alloc_failures,unfinished\n")
 	for _, r := range results {
 		m := r.Metrics
 		fmt.Fprintf(&b, "%d,%s,%d,%d,%d,%s,%s,%s,%s,%d,%d,%d,%d\n",
-			r.MaxUnits, r.Alg,
+			r.MaxUnits, r.Algorithm,
 			m.Periods, m.Completed, m.Missed,
 			g(m.MeanCPUUtil), g(m.MeanNetUtil), g(m.MeanReplicas), g(m.MaxReplicas),
 			m.Replications, m.Shutdowns, m.AllocFailures, m.UnfinishedWork)
@@ -165,10 +167,10 @@ func TestGoldenSeedZeroUnchangedUnderReplication(t *testing.T) {
 	}
 	for _, r := range results {
 		if len(r.Reps) != 3 {
-			t.Fatalf("point %d %s: %d replications, want 3", r.MaxUnits, r.Alg, len(r.Reps))
+			t.Fatalf("point %d %s: %d replications, want 3", r.MaxUnits, r.Algorithm, len(r.Reps))
 		}
 		if !reflect.DeepEqual(r.Metrics, r.Reps[0]) {
-			t.Fatalf("point %d %s: Metrics is not the replication-0 run", r.MaxUnits, r.Alg)
+			t.Fatalf("point %d %s: Metrics is not the replication-0 run", r.MaxUnits, r.Algorithm)
 		}
 	}
 	want, err := os.ReadFile(filepath.Join("testdata", "sweep_triangular.golden.csv"))

@@ -96,52 +96,3 @@ func EncodeRunRequest(cfg core.Config, alg core.Algorithm, setups []core.TaskSet
 	}
 	return api.RunRequest{}, false
 }
-
-// OutcomeToAPI converts a scheduler outcome to its wire form.
-func OutcomeToAPI(out RunOutcome) api.RunResult {
-	return api.RunResult{
-		SchemaVersion: api.SchemaVersion,
-		Metrics:       api.MetricsFromRun(out.Metrics),
-		Failovers:     out.Failovers,
-		EventsFired:   out.EventsFired,
-	}
-}
-
-// OutcomeFromAPI converts a wire result back to a scheduler outcome.
-func OutcomeFromAPI(r api.RunResult) RunOutcome {
-	return RunOutcome{
-		Metrics:     r.Metrics.ToRun(),
-		Failovers:   r.Failovers,
-		EventsFired: r.EventsFired,
-	}
-}
-
-// SweepToAPI converts sweep results to their wire form. Single-seed
-// sweeps omit the redundant Reps column.
-func SweepToAPI(results []PointResult) api.SweepResult {
-	out := api.SweepResult{SchemaVersion: api.SchemaVersion}
-	for _, pr := range results {
-		p := api.SweepPoint{MaxUnits: pr.MaxUnits, Algorithm: string(pr.Alg), Metrics: api.MetricsFromRun(pr.Metrics)}
-		if len(pr.Reps) > 1 {
-			p.Reps = make([]api.Metrics, len(pr.Reps))
-			for i, m := range pr.Reps {
-				p.Reps[i] = api.MetricsFromRun(m)
-			}
-		}
-		out.Points = append(out.Points, p)
-	}
-	return out
-}
-
-// SchedulerStatsToAPI converts scheduler counters to their wire form.
-func SchedulerStatsToAPI(c SchedulerCounters) api.SchedulerStats {
-	return api.SchedulerStats{
-		Requested:  c.Requested,
-		Deduped:    c.Deduped,
-		MemoryHits: c.MemoryHits,
-		DiskHits:   c.DiskHits,
-		Simulated:  c.Simulated,
-		Cancelled:  c.Cancelled,
-		Remote:     c.Remote,
-	}
-}

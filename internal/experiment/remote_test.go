@@ -61,9 +61,9 @@ func TestRemoteRunnerDelegation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sentinel := RunOutcome{EventsFired: 424242}
+	sentinel := api.RunResult{EventsFired: 424242}
 	var gotReq api.RunRequest
-	SetRemoteRunner(func(ctx context.Context, req api.RunRequest) (RunOutcome, error) {
+	SetRemoteRunner(func(ctx context.Context, req api.RunRequest) (api.RunResult, error) {
 		gotReq = req
 		return sentinel, nil
 	})

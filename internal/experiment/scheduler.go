@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/api"
 	"repro/internal/core"
-	"repro/internal/metrics"
 	"repro/internal/resil"
 	"repro/internal/trace"
 )
@@ -30,18 +29,6 @@ import (
 // from the memo so a later identical request re-runs it. That is what
 // lets the rmserved daemon kill queued or running jobs without leaking
 // worker goroutines.
-
-// RunOutcome is the cacheable summary of one simulation run: the §5.2
-// metrics plus the cheap derived counts the batch experiments table.
-// Full period records and adaptation traces are deliberately excluded —
-// they are large, and no batch experiment consumes them.
-type RunOutcome struct {
-	Metrics metrics.RunMetrics `json:"metrics"`
-	// Failovers counts trace.ActionFailover adaptation events (ext-faults).
-	Failovers int `json:"failovers"`
-	// EventsFired is the engine's determinism fingerprint.
-	EventsFired uint64 `json:"events_fired"`
-}
 
 // runEntry is one scheduled simulation: a single-flight cell of the
 // global run table. Whoever creates the entry enqueues it exactly once;
@@ -63,7 +50,7 @@ type runEntry struct {
 	enqueuedAt time.Time
 
 	done     chan struct{}
-	out      RunOutcome
+	out      api.RunResult
 	err      error
 	finished bool // guarded by the scheduler mutex; set before done closes
 	waiters  int  // guarded by the scheduler mutex; live requesters
@@ -72,32 +59,19 @@ type runEntry struct {
 // waitCtx blocks until the run completes or ctx is done; abandoning a
 // cell releases this requester's stake in it (the cell is cancelled once
 // nobody is left waiting).
-func (e *runEntry) waitCtx(ctx context.Context, s *scheduler) (RunOutcome, error) {
+func (e *runEntry) waitCtx(ctx context.Context, s *scheduler) (api.RunResult, error) {
 	select {
 	case <-e.done:
 		return e.out, e.err
 	case <-ctx.Done():
 		s.abandon(e)
-		return RunOutcome{}, ctx.Err()
+		return api.RunResult{}, ctx.Err()
 	}
-}
-
-// SchedulerCounters is a snapshot of the global scheduler's cumulative
-// accounting. Requested = Deduped + MemoryHits + DiskHits + Simulated +
-// Cancelled + Remote once every submitted run has resolved.
-type SchedulerCounters struct {
-	Requested  uint64 // run requests submitted, including duplicates
-	Deduped    uint64 // joined an identical run already in flight
-	MemoryHits uint64 // served from the in-process memo of finished runs
-	DiskHits   uint64 // served from the persistent content-addressed cache
-	Simulated  uint64 // actually executed
-	Cancelled  uint64 // abandoned by every requester before completing
-	Remote     uint64 // delegated to a remote rmserved daemon
 }
 
 // RemoteRunner executes one wire-expressible run against a remote
 // rmserved daemon (see SetRemoteRunner).
-type RemoteRunner func(ctx context.Context, req api.RunRequest) (RunOutcome, error)
+type RemoteRunner func(ctx context.Context, req api.RunRequest) (api.RunResult, error)
 
 // WallObserver receives wall-clock timings of scheduler activity — the
 // serving path's view of the queue, entirely outside simulated time.
@@ -128,7 +102,7 @@ type scheduler struct {
 	disk     *DiskCache
 	remote   RemoteRunner
 	observer WallObserver
-	stats    SchedulerCounters
+	stats    api.SchedulerStats
 }
 
 // sched is the process-wide scheduler every experiment shares.
@@ -179,7 +153,7 @@ func SetRemoteRunner(fn RemoteRunner) {
 // SchedulerStats snapshots the cumulative scheduler counters — the
 // rmexperiments end-of-run summary and the daemon's /v1/stats read them,
 // and tests assert dedup behaviour through before/after deltas.
-func SchedulerStats() SchedulerCounters {
+func SchedulerStats() api.SchedulerStats {
 	sched.mu.Lock()
 	defer sched.mu.Unlock()
 	return sched.stats
@@ -191,7 +165,7 @@ func SchedulerStats() SchedulerCounters {
 // When ctx is done the caller unblocks with ctx.Err(), and the underlying
 // cell — shared with any identical concurrent request — is cancelled once
 // every requester has abandoned it.
-func ScheduledRun(ctx context.Context, cfg core.Config, alg core.Algorithm, setups []core.TaskSetup) (RunOutcome, error) {
+func ScheduledRun(ctx context.Context, cfg core.Config, alg core.Algorithm, setups []core.TaskSetup) (api.RunResult, error) {
 	return sched.submit(cfg, alg, setups).waitCtx(ctx, sched)
 }
 
@@ -205,11 +179,11 @@ type batchCell struct {
 	cfg    core.Config
 	alg    core.Algorithm
 	setups []core.TaskSetup
-	use    func(RunOutcome)
+	use    func(api.RunResult)
 }
 
 // add queues one run; use receives its outcome once run resolves it.
-func (b *batch) add(cfg core.Config, alg core.Algorithm, setups []core.TaskSetup, use func(RunOutcome)) {
+func (b *batch) add(cfg core.Config, alg core.Algorithm, setups []core.TaskSetup, use func(api.RunResult)) {
 	*b = append(*b, batchCell{cfg, alg, setups, use})
 }
 
@@ -325,8 +299,8 @@ func isCancel(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// Cell outcome kinds, as reported to the WallObserver and mapped onto
-// SchedulerCounters by finish.
+// Cell outcome kinds, as reported to the WallObserver and counted into
+// the scheduler's stats by finish.
 const (
 	cellSimulated = "simulated"
 	cellDiskHit   = "disk_hit"
@@ -347,7 +321,7 @@ func (s *scheduler) execute(e *runEntry, disk *DiskCache, remote RemoteRunner, o
 		}
 	}
 	if err := e.runCtx.Err(); err != nil {
-		s.finish(e, RunOutcome{}, err, cellCancelled, observer, started)
+		s.finish(e, api.RunResult{}, err, cellCancelled, observer, started)
 		return
 	}
 	if disk != nil {
@@ -364,7 +338,7 @@ func (s *scheduler) execute(e *runEntry, disk *DiskCache, remote RemoteRunner, o
 		if req, ok := EncodeRunRequest(e.cfg, e.alg, e.setups); ok {
 			out, err := remote(e.runCtx, req)
 			if isCancel(err) {
-				s.finish(e, RunOutcome{}, err, cellCancelled, observer, started)
+				s.finish(e, api.RunResult{}, err, cellCancelled, observer, started)
 				return
 			}
 			if err == nil && disk != nil {
@@ -376,7 +350,7 @@ func (s *scheduler) execute(e *runEntry, disk *DiskCache, remote RemoteRunner, o
 	}
 	out, err := simulateRecovering(e.runCtx, e.cfg, e.alg, e.setups)
 	if isCancel(err) {
-		s.finish(e, RunOutcome{}, err, cellCancelled, observer, started)
+		s.finish(e, api.RunResult{}, err, cellCancelled, observer, started)
 		return
 	}
 	if err == nil && disk != nil {
@@ -391,16 +365,16 @@ func (s *scheduler) execute(e *runEntry, disk *DiskCache, remote RemoteRunner, o
 // of killing the process, and the worker goroutine — having recovered —
 // simply continues its drain loop, which is what "replacing" the worker
 // amounts to in an elastic pool.
-func simulateRecovering(ctx context.Context, cfg core.Config, alg core.Algorithm, setups []core.TaskSetup) (out RunOutcome, err error) {
+func simulateRecovering(ctx context.Context, cfg core.Config, alg core.Algorithm, setups []core.TaskSetup) (out api.RunResult, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			out, err = RunOutcome{}, resil.NewPanicError(r)
+			out, err = api.RunResult{}, resil.NewPanicError(r)
 		}
 	}()
 	return simulate(ctx, cfg, alg, setups)
 }
 
-func (s *scheduler) finish(e *runEntry, out RunOutcome, err error, kind string, observer WallObserver, started time.Time) {
+func (s *scheduler) finish(e *runEntry, out api.RunResult, err error, kind string, observer WallObserver, started time.Time) {
 	s.mu.Lock()
 	e.out, e.err = out, err
 	e.finished = true
@@ -455,20 +429,20 @@ func SetSimHook(fn func(cfg core.Config, alg core.Algorithm) error) {
 }
 
 // simulate is the single place experiment code executes core.Run.
-func simulate(ctx context.Context, cfg core.Config, alg core.Algorithm, setups []core.TaskSetup) (RunOutcome, error) {
+func simulate(ctx context.Context, cfg core.Config, alg core.Algorithm, setups []core.TaskSetup) (api.RunResult, error) {
 	simHookMu.Lock()
 	hook := simHook
 	simHookMu.Unlock()
 	if hook != nil {
 		if err := hook(cfg, alg); err != nil {
-			return RunOutcome{}, err
+			return api.RunResult{}, err
 		}
 	}
 	res, err := core.RunContext(ctx, cfg, alg, setups, nil)
 	if err != nil {
-		return RunOutcome{}, err
+		return api.RunResult{}, err
 	}
-	out := RunOutcome{Metrics: res.Metrics, EventsFired: res.EventsFired}
+	out := api.RunResult{SchemaVersion: api.SchemaVersion, Metrics: res.Metrics, EventsFired: res.EventsFired}
 	for _, ev := range res.Events {
 		if ev.Kind == trace.ActionFailover {
 			out.Failovers++

@@ -5,15 +5,16 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/api"
 	"repro/internal/core"
 )
 
 // statsDelta runs f and returns how much each scheduler counter moved.
-func statsDelta(f func()) SchedulerCounters {
+func statsDelta(f func()) api.SchedulerStats {
 	before := SchedulerStats()
 	f()
 	after := SchedulerStats()
-	return SchedulerCounters{
+	return api.SchedulerStats{
 		Requested:  after.Requested - before.Requested,
 		Deduped:    after.Deduped - before.Deduped,
 		MemoryHits: after.MemoryHits - before.MemoryHits,

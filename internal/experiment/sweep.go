@@ -5,8 +5,8 @@ import (
 	"fmt"
 	"hash/fnv"
 
+	"repro/internal/api"
 	"repro/internal/core"
-	"repro/internal/metrics"
 	"repro/internal/workload"
 )
 
@@ -48,19 +48,6 @@ func DecreasingFactory(maxItems int) workload.Pattern {
 	return workload.NewDecreasingRamp(MinWorkload, maxItems, SweepPeriods)
 }
 
-// PointResult is one sweep cell.
-type PointResult struct {
-	MaxUnits int // max workload in units of 500 tracks
-	Alg      core.Algorithm
-	// Metrics is the cell's replication-0 run — the pinned seed every
-	// golden CSV was recorded under, and the whole result when seeds = 1.
-	Metrics metrics.RunMetrics
-	// Reps holds every replication's metrics, Reps[0] == Metrics. With
-	// Monte Carlo replication (seeds > 1) figures aggregate these into
-	// mean ± 95% CI.
-	Reps []metrics.RunMetrics
-}
-
 // seed0Offset pins the replication-0 seed offsets of the two headline
 // algorithms. The historical derivation added len(alg) to a Weyl-sequence
 // step — fragile, since any two algorithms with same-length names would
@@ -96,13 +83,14 @@ func runSeed(units int, alg core.Algorithm, rep int) uint64 {
 // front, so independent runs fill the worker pool, and the scheduler's
 // run memo means a cell already requested by this or any other sweep or
 // experiment — Figures 9 and 10 share one sweep, as do 11/13(a) and
-// 12/13(b) — is simulated only once.
+// 12/13(b) — is simulated only once. Each point's Metrics is its
+// replication-0 run; Reps lists every replication only when seeds > 1.
 //
 // When ctx is done the sweep unblocks with ctx.Err() and releases its
 // stake in every cell it has not yet consumed, so cells nobody else wants
 // are cancelled instead of simulating into the void. The daemon's sweep
 // jobs run through here.
-func Sweep(ctx context.Context, points []int, factory PatternFactory, parallelism, seeds int) ([]PointResult, error) {
+func Sweep(ctx context.Context, points []int, factory PatternFactory, parallelism, seeds int) ([]api.SweepPoint, error) {
 	if seeds < 1 {
 		seeds = 1
 	}
@@ -112,56 +100,49 @@ func Sweep(ctx context.Context, points []int, factory PatternFactory, parallelis
 	if err != nil {
 		return nil, err
 	}
-	results := make([]PointResult, 0, 2*len(points))
+	results := make([]api.SweepPoint, 0, 2*len(points))
 	var b batch
 	for _, u := range points {
 		setup := base
 		setup.Pattern = factory(u * WorkloadUnit)
 		for _, a := range []core.Algorithm{core.Predictive, core.NonPredictive} {
-			reps := make([]metrics.RunMetrics, seeds)
-			results = append(results, PointResult{MaxUnits: u, Alg: a, Reps: reps})
-			for r := range reps {
+			i := len(results)
+			results = append(results, api.SweepPoint{MaxUnits: u, Algorithm: string(a)})
+			if seeds > 1 {
+				results[i].Reps = make([]api.Metrics, seeds)
+			}
+			for r := 0; r < seeds; r++ {
 				cfg := core.DefaultConfig()
 				cfg.Seed = runSeed(u, a, r)
-				b.add(cfg, a, []core.TaskSetup{setup}, func(out RunOutcome) { reps[r] = out.Metrics })
+				b.add(cfg, a, []core.TaskSetup{setup}, func(out api.RunResult) {
+					p := &results[i]
+					if r == 0 {
+						p.Metrics = out.Metrics
+					}
+					if p.Reps != nil {
+						p.Reps[r] = out.Metrics
+					}
+				})
 			}
 		}
 	}
 	if err := b.run(ctx, parallelism); err != nil {
 		return nil, err
 	}
-	for i := range results {
-		results[i].Metrics = results[i].Reps[0]
-	}
 	return results, nil
 }
 
 // byPoint reorganizes sweep results for table building.
-func byPoint(results []PointResult) (points []int, pred, nonpred map[int]metrics.RunMetrics) {
-	pts, p, np := byPointResult(results)
-	pred = make(map[int]metrics.RunMetrics, len(p))
-	nonpred = make(map[int]metrics.RunMetrics, len(np))
-	for k, v := range p {
-		pred[k] = v.Metrics
-	}
-	for k, v := range np {
-		nonpred[k] = v.Metrics
-	}
-	return pts, pred, nonpred
-}
-
-// byPointResult is byPoint keeping the full PointResult (replications
-// included) per cell, for CI-band rendering.
-func byPointResult(results []PointResult) (points []int, pred, nonpred map[int]PointResult) {
-	pred = make(map[int]PointResult)
-	nonpred = make(map[int]PointResult)
+func byPoint(results []api.SweepPoint) (points []int, pred, nonpred map[int]api.SweepPoint) {
+	pred = make(map[int]api.SweepPoint)
+	nonpred = make(map[int]api.SweepPoint)
 	seen := make(map[int]bool)
 	for _, r := range results {
 		if !seen[r.MaxUnits] {
 			seen[r.MaxUnits] = true
 			points = append(points, r.MaxUnits)
 		}
-		if r.Alg == core.Predictive {
+		if r.Algorithm == string(core.Predictive) {
 			pred[r.MaxUnits] = r
 		} else {
 			nonpred[r.MaxUnits] = r

@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+
+	"repro/internal/api"
 )
 
 // TestCachedSweepSingleFlight drives many concurrent identical Sweep callers
@@ -15,7 +17,7 @@ import (
 func TestCachedSweepSingleFlight(t *testing.T) {
 	ResetSweepCache()
 	const callers = 8
-	results := make([][]PointResult, callers)
+	results := make([][]api.SweepPoint, callers)
 	errs := make([]error, callers)
 	d := statsDelta(func() {
 		var start, done sync.WaitGroup

@@ -1,6 +1,7 @@
-// Package export serializes run results to JSON for downstream tooling
-// (plotting scripts, dashboards, regression tracking). Times are exported
-// in milliseconds as floats, the unit the paper reports in.
+// Package export serializes run results to JSON, and the per-period
+// trace to CSV, for downstream tooling (plotting scripts, dashboards,
+// regression tracking). Times are exported in milliseconds as floats,
+// the unit the paper reports in.
 package export
 
 import (
@@ -113,19 +114,14 @@ func FromEvent(e trace.AdaptationEvent) Event {
 	}
 }
 
-// FromResult converts a full run. Periods and events are included when
-// the corresponding flags are true.
-func FromResult(res core.Result, withPeriods, withEvents bool) Run {
+// FromResult converts a full run: summary, periods and events.
+func FromResult(res core.Result) Run {
 	out := Run{Summary: FromMetrics(res.Metrics)}
-	if withPeriods {
-		for _, r := range res.Records {
-			out.Periods = append(out.Periods, FromRecord(r))
-		}
+	for _, r := range res.Records {
+		out.Periods = append(out.Periods, FromRecord(r))
 	}
-	if withEvents {
-		for _, e := range res.Events {
-			out.Events = append(out.Events, FromEvent(e))
-		}
+	for _, e := range res.Events {
+		out.Events = append(out.Events, FromEvent(e))
 	}
 	return out
 }
@@ -136,6 +132,23 @@ func WriteJSON(w io.Writer, run Run) error {
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(run); err != nil {
 		return fmt.Errorf("export: %w", err)
+	}
+	return nil
+}
+
+// WriteRecordsCSV writes one row per completed period.
+func WriteRecordsCSV(w io.Writer, records []*task.PeriodRecord) error {
+	if _, err := fmt.Fprintln(w, "period,items,released_ms,completed_ms,latency_ms,missed"); err != nil {
+		return err
+	}
+	for _, r := range records {
+		_, err := fmt.Fprintf(w, "%d,%d,%.3f,%.3f,%.3f,%t\n",
+			r.Period, r.Items,
+			r.ReleasedAt.Milliseconds(), r.CompletedAt.Milliseconds(),
+			r.EndToEnd().Milliseconds(), r.Missed())
+		if err != nil {
+			return err
+		}
 	}
 	return nil
 }

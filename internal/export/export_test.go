@@ -39,7 +39,7 @@ func sampleResult() core.Result {
 }
 
 func TestFromResultFull(t *testing.T) {
-	run := FromResult(sampleResult(), true, true)
+	run := FromResult(sampleResult())
 	if run.Summary.Completed != 2 || run.Summary.Missed != 1 {
 		t.Errorf("summary = %+v", run.Summary)
 	}
@@ -58,16 +58,9 @@ func TestFromResultFull(t *testing.T) {
 	}
 }
 
-func TestFromResultSummaryOnly(t *testing.T) {
-	run := FromResult(sampleResult(), false, false)
-	if run.Periods != nil || run.Events != nil {
-		t.Error("summary-only export carried detail")
-	}
-}
-
 func TestWriteJSONRoundTrip(t *testing.T) {
 	var b strings.Builder
-	if err := WriteJSON(&b, FromResult(sampleResult(), true, true)); err != nil {
+	if err := WriteJSON(&b, FromResult(sampleResult())); err != nil {
 		t.Fatal(err)
 	}
 	var back Run
@@ -105,7 +98,7 @@ func TestFromResultConvertsRecordsAndEvents(t *testing.T) {
 		},
 	}
 	var b strings.Builder
-	if err := WriteJSON(&b, FromResult(res, true, true)); err != nil {
+	if err := WriteJSON(&b, FromResult(res)); err != nil {
 		t.Fatal(err)
 	}
 	var back Run
@@ -130,5 +123,22 @@ func TestFromResultConvertsRecordsAndEvents(t *testing.T) {
 	}
 	if n := strings.Count(b.String(), `"procs"`); n != 1 {
 		t.Errorf(`"procs" appears %d times, want once (omitempty on the event without processors)`, n)
+	}
+}
+
+func TestWriteRecordsCSV(t *testing.T) {
+	records := []*task.PeriodRecord{{Period: 3, Items: 42,
+		ReleasedAt: 3 * sim.Second, CompletedAt: 3*sim.Second + 400*sim.Millisecond,
+		Deadline: 3*sim.Second + 990*sim.Millisecond}}
+	var b strings.Builder
+	if err := WriteRecordsCSV(&b, records); err != nil {
+		t.Fatal(err)
+	}
+	out := b.String()
+	if !strings.HasPrefix(out, "period,items,") {
+		t.Errorf("missing header: %q", out)
+	}
+	if !strings.Contains(out, "3,42,3000.000,3400.000,400.000,false") {
+		t.Errorf("row wrong: %q", out)
 	}
 }

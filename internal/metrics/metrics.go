@@ -12,31 +12,33 @@ package metrics
 
 import "fmt"
 
-// RunMetrics summarizes one experiment run.
+// RunMetrics summarizes one experiment run. It is also the wire form of
+// a run's metrics (api.Metrics is an alias): the json tags are the
+// rmserved schema, pinned byte for byte by the api golden fixtures.
 type RunMetrics struct {
-	Periods        int     // instances released
-	Completed      int     // instances finished
-	Missed         int     // instances past their deadline
-	MeanCPUUtil    float64 // 0..1, averaged over nodes and periods
-	MeanNetUtil    float64 // 0..1, averaged over periods
-	MeanReplicas   float64 // mean replicas per replicable subtask, averaged over periods
-	MaxReplicas    float64 // Max(R): the processor count
-	Replications   int     // replicas added
-	Shutdowns      int     // replicas removed
-	AllocFailures  int     // Figure 5 FAILURE returns
-	UnfinishedWork int     // instances still running at drain time
+	Periods        int     `json:"periods"`         // instances released
+	Completed      int     `json:"completed"`       // instances finished
+	Missed         int     `json:"missed"`          // instances past their deadline
+	MeanCPUUtil    float64 `json:"mean_cpu_util"`   // 0..1, averaged over nodes and periods
+	MeanNetUtil    float64 `json:"mean_net_util"`   // 0..1, averaged over periods
+	MeanReplicas   float64 `json:"mean_replicas"`   // mean replicas per replicable subtask, averaged over periods
+	MaxReplicas    float64 `json:"max_replicas"`    // Max(R): the processor count
+	Replications   int     `json:"replications"`    // replicas added
+	Shutdowns      int     `json:"shutdowns"`       // replicas removed
+	AllocFailures  int     `json:"alloc_failures"`  // Figure 5 FAILURE returns
+	UnfinishedWork int     `json:"unfinished_work"` // instances still running at drain time
 
 	// Chaos-layer observations; all zero on a clean run.
-	DroppedMessages int     // segment messages lost (drop prob or partition)
-	Retransmissions int     // inter-subtask handoffs resent after timeout
-	Crashes         int     // node-down transitions
-	Recoveries      int     // node-up transitions
-	MeanRecoveryMS  float64 // mean crash → first met deadline, milliseconds
+	DroppedMessages int     `json:"dropped_messages,omitempty"` // segment messages lost (drop prob or partition)
+	Retransmissions int     `json:"retransmissions,omitempty"`  // inter-subtask handoffs resent after timeout
+	Crashes         int     `json:"crashes,omitempty"`          // node-down transitions
+	Recoveries      int     `json:"recoveries,omitempty"`       // node-up transitions
+	MeanRecoveryMS  float64 `json:"mean_recovery_ms,omitempty"` // mean crash → first met deadline, milliseconds
 
 	// Graceful-degradation observations; all zero under policies that
 	// never degrade (the paper's algorithms and the static baselines).
-	ShedItems        int // optional items dropped before launch (imprecise-shed)
-	StretchedPeriods int // period launches skipped by elastic stretching (period-stretch)
+	ShedItems        int `json:"shed_items,omitempty"`        // optional items dropped before launch (imprecise-shed)
+	StretchedPeriods int `json:"stretched_periods,omitempty"` // period launches skipped by elastic stretching (period-stretch)
 }
 
 // MissedPct returns the missed-deadline percentage MD. Instances that

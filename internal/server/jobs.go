@@ -233,11 +233,10 @@ func (s *Server) runAttempt(j *job) error {
 			// short of a schema drift; fail the job rather than panic.
 			return merr
 		}
-		out, err := experiment.ScheduledRun(ctx, cfg, alg, setups)
+		res, err := experiment.ScheduledRun(ctx, cfg, alg, setups)
 		if err != nil {
 			return s.deadlineError(ctx, j, err)
 		}
-		res := experiment.OutcomeToAPI(out)
 		j.mu.Lock()
 		j.runRes = &res
 		j.mu.Unlock()
@@ -247,11 +246,11 @@ func (s *Server) runAttempt(j *job) error {
 		if ferr != nil {
 			return ferr
 		}
-		results, err := experiment.Sweep(ctx, j.sweep.Points, factory, s.opts.Parallelism, j.sweep.Seeds)
+		points, err := experiment.Sweep(ctx, j.sweep.Points, factory, s.opts.Parallelism, j.sweep.Seeds)
 		if err != nil {
 			return s.deadlineError(ctx, j, err)
 		}
-		res := experiment.SweepToAPI(results)
+		res := api.SweepResult{SchemaVersion: api.SchemaVersion, Points: points}
 		j.mu.Lock()
 		j.sweepRes = &res
 		j.mu.Unlock()

@@ -36,8 +36,7 @@ func newRawServer(t *testing.T, opts server.Options) (*server.Server, string, *c
 	}
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
-	cl := client.New(ts.URL)
-	cl.PollInterval = 10 * time.Millisecond
+	cl := client.New(ts.URL, client.WithPollInterval(10*time.Millisecond))
 	return srv, ts.URL, cl
 }
 

@@ -34,7 +34,7 @@ func newFaultServer(t *testing.T, opts server.Options) (*server.Server, string, 
 	// handle onto the same Server for raw HTTP.
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
-	return srv, ts.URL, client.NewWithHTTPClient(ts.URL, ts.Client())
+	return srv, ts.URL, client.New(ts.URL, client.WithHTTPClient(ts.Client()))
 }
 
 // seedHook installs a sim hook that fires only for cfg.Seed == seed,

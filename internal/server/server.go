@@ -806,7 +806,7 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	stats := api.Stats{
 		SchemaVersion: api.SchemaVersion,
-		Scheduler:     experiment.SchedulerStatsToAPI(experiment.SchedulerStats()),
+		Scheduler:     experiment.SchedulerStats(),
 		QueueCapacity: s.opts.QueueDepth,
 		Workers:       s.opts.Workers,
 		Draining:      s.draining.Load(),

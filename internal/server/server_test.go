@@ -30,8 +30,7 @@ func newTestServer(t *testing.T, opts server.Options) (*server.Server, *client.C
 	}
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
-	cl := client.New(ts.URL)
-	cl.PollInterval = 10 * time.Millisecond
+	cl := client.New(ts.URL, client.WithPollInterval(10*time.Millisecond))
 	return srv, cl
 }
 
@@ -123,11 +122,10 @@ func TestSubmitRunMatchesDirectScheduledRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := experiment.ScheduledRun(context.Background(), cfg, alg, setups)
+	direct, err := experiment.ScheduledRun(context.Background(), cfg, alg, setups)
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct := experiment.OutcomeToAPI(out)
 	if got, want := mustJSON(t, *j.Run), mustJSON(t, direct); got != want {
 		t.Errorf("API result differs from direct ScheduledRun:\n got %s\nwant %s", got, want)
 	}
@@ -406,7 +404,7 @@ func TestSweepJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := mustJSON(t, *j.Sweep), mustJSON(t, experiment.SweepToAPI(direct)); got != want {
+	if got, want := mustJSON(t, *j.Sweep), mustJSON(t, api.SweepResult{SchemaVersion: api.SchemaVersion, Points: direct}); got != want {
 		t.Errorf("API sweep differs from direct Sweep:\n got %s\nwant %s", got, want)
 	}
 }

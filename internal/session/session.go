@@ -246,7 +246,7 @@ func stateOf(o core.Observation) api.SessionState {
 		SimMS:   int64(o.At / sim.Millisecond),
 		Nodes:   make([]api.SessionNode, len(o.Nodes)),
 		Tasks:   make([]api.SessionTask, len(o.Tasks)),
-		Metrics: api.MetricsFromRun(o.Metrics),
+		Metrics: o.Metrics,
 	}
 	for i, n := range o.Nodes {
 		st.Nodes[i] = api.SessionNode{Util: n.Util, Down: n.Down}

@@ -179,39 +179,6 @@ func TestPropertySlidingWindowMean(t *testing.T) {
 	}
 }
 
-func TestEWMA(t *testing.T) {
-	e := NewEWMA(0.5)
-	if e.Initialized() {
-		t.Error("fresh EWMA claims initialized")
-	}
-	e.Push(10)
-	if e.Value() != 10 {
-		t.Errorf("first value = %v", e.Value())
-	}
-	e.Push(20)
-	if e.Value() != 15 {
-		t.Errorf("value = %v, want 15", e.Value())
-	}
-}
-
-func TestEWMABadAlphaPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("alpha 0 did not panic")
-		}
-	}()
-	NewEWMA(0)
-}
-
-func TestEWMAValueBeforePushPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Value before Push did not panic")
-		}
-	}()
-	NewEWMA(0.5).Value()
-}
-
 func TestSampleVariance(t *testing.T) {
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
 	if got := SampleVariance(xs); !approxEq(got, 32.0/7, 1e-12) {

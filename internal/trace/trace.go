@@ -1,12 +1,10 @@
 // Package trace records what an adaptive run did: one row per completed
-// period and one event per adaptation action. The period rows are
-// exportable as CSV for inspection and plotting; internal/export owns
-// the JSON form of both.
+// period and one event per adaptation action. internal/export owns the
+// JSON form of both and the CSV form of the period rows.
 package trace
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/sim"
 	"repro/internal/task"
@@ -65,20 +63,3 @@ func (l *Log) Events() []AdaptationEvent { return l.events }
 
 // Records returns the completed period records.
 func (l *Log) Records() []*task.PeriodRecord { return l.records }
-
-// WriteRecordsCSV emits one row per completed period.
-func (l *Log) WriteRecordsCSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "period,items,released_ms,completed_ms,latency_ms,missed"); err != nil {
-		return err
-	}
-	for _, r := range l.records {
-		_, err := fmt.Fprintf(w, "%d,%d,%.3f,%.3f,%.3f,%t\n",
-			r.Period, r.Items,
-			r.ReleasedAt.Milliseconds(), r.CompletedAt.Milliseconds(),
-			r.EndToEnd().Milliseconds(), r.Missed())
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}

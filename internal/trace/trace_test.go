@@ -23,21 +23,3 @@ func TestLogAccumulates(t *testing.T) {
 		t.Errorf("event string %q", s)
 	}
 }
-
-func TestWriteRecordsCSV(t *testing.T) {
-	l := NewLog()
-	l.Record(&task.PeriodRecord{Period: 3, Items: 42,
-		ReleasedAt: 3 * sim.Second, CompletedAt: 3*sim.Second + 400*sim.Millisecond,
-		Deadline: 3*sim.Second + 990*sim.Millisecond})
-	var b strings.Builder
-	if err := l.WriteRecordsCSV(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	if !strings.HasPrefix(out, "period,items,") {
-		t.Errorf("missing header: %q", out)
-	}
-	if !strings.Contains(out, "3,42,3000.000,3400.000,400.000,false") {
-		t.Errorf("row wrong: %q", out)
-	}
-}
